@@ -224,7 +224,6 @@ class PolicyKind(Enum):
     DETERMINISTIC = "det"
     STOCHASTIC = "stoch"
     REACTIVE = "reactive"
-    FIXED = "fixed"
 
 
 @dataclass(frozen=True)

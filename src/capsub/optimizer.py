@@ -8,7 +8,9 @@ evaluating every breakpoint candidate rather than by calling an LP solver:
   (the objective's subgradient is C_sub - (C_high - C_low) * H(x), where
   H(x) is the expected number of hours with load above x);
 * dynamic: breakpoints are the active-hour load values and their offsets by
-  whole discomfort-segment widths.
+  whole discomfort-segment widths; each is costed from the tail energy above
+  a level, a suffix sum of the sorted active loads, in O(J log N) for N
+  active hours and J segments.
 
 Each objective decomposes as const(x_k) + capacity_price * x_k over the
 candidate levels, which lets calibration re-optimize cheaply while scanning
@@ -17,7 +19,6 @@ capacity prices. Ties are broken toward the smaller level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -27,11 +28,8 @@ from .activation import ActivationSchedule
 from .data_model import (CostBreakdown, HourlyLoadSeries, LoadScenario, PolicyKind,
                          ScenarioSet, SubscriptionDecision, TariffBook, TariffRegime)
 from .errors import DomainError, IllPosed, ScenarioMismatch
-from .tariff_engine import PEAK_MATCH_RTOL, check_stack_against_book, expected_cost
+from .tariff_engine import active_loads, expected_cost, schedule_and_stack
 from .vcl import VclSegmentStack
-
-_CHUNK_ELEMENTS = 1 << 21
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -99,30 +97,22 @@ def dynamic_objective_lines(scenario_set: ScenarioSet, book: TariffBook,
     Candidates are 0, every active-hour load, and each active-hour load minus
     whole segment widths (where the greedy discomfort fill changes slope).
     const[k] covers fixed, energy on served consumption and expected
-    discomfort at level x_k.
+    discomfort at level x_k. A scenario's active loads a have tail energy
+    T(t) = sum_i max(a_i - t, 0), the energy cut at level t; with energy fee
+    e, segment costs m_j and cumulative widths W_j (W_0 = 0), the scenario
+    adds e * total_kwh + sum_j (m_j - m_{j-1}) * T(x_k + W_{j-1}), m_0 = e,
+    since a cut kWh saves e; the top segment absorbs every cut beyond W_{J-1}.
+    T is a suffix sum of the sorted loads, so each candidate takes J binary
+    searches, O(J log N) for N active hours and J segments.
     """
     if book.regime is not TariffRegime.DYNAMIC_CS:
         raise DomainError(f"expected a dynamic CS book, got regime {book.regime.value!r}")
     per_scenario = []
     candidates = [np.zeros(1)]
     for sc in scenario_set.scenarios:
-        series = sc.series
-        year = series.year_label
-        if year not in schedules or year not in stacks:
-            raise ScenarioMismatch(f"no schedule/stack for scenario year {year!r}")
-        schedule, stack = schedules[year], stacks[year]
-        if schedule.year_label != year:
-            raise ScenarioMismatch(
-                f"schedule year {schedule.year_label!r} filed under {year!r}")
-        if stack.peak_load_kw < series.peak_kw * (1.0 - PEAK_MATCH_RTOL):
-            raise ScenarioMismatch(
-                f"stack peak basis {stack.peak_load_kw} kW is below the "
-                f"{year} series peak {series.peak_kw} kW")
-        check_stack_against_book(stack, book)
-        mask = schedule.active_mask(series.hours_count)
-        active = series.loads[mask]
-        inactive_energy = series.total_kwh - float(active.sum())
-        per_scenario.append((sc.probability, active, stack, inactive_energy))
+        schedule, stack = schedule_and_stack(schedules, stacks, sc.series.year_label)
+        active = active_loads(sc.series, book, schedule, stack)
+        per_scenario.append((sc.probability, sc.series.total_kwh, np.sort(active), stack))
         if active.size:
             offsets = np.cumsum(stack.widths_kw)[:-1]
             shifted = active[:, None] - offsets[None, :]
@@ -132,21 +122,17 @@ def dynamic_objective_lines(scenario_set: ScenarioSet, book: TariffBook,
     levels = np.unique(np.concatenate(candidates))
     levels = levels[levels >= 0.0]
     const = np.full(levels.shape, book.fixed_annual)
-    for probability, active, stack, inactive_energy in per_scenario:
-        const += probability * book.energy_price * inactive_energy
-        if not active.size:
-            continue
-        cum_width = np.concatenate(([0.0], np.cumsum(stack.widths_kw)))
-        cum_cost = np.concatenate(([0.0], np.cumsum(stack.widths_kw * stack.marginal_costs)))
-        chunk = max(1, _CHUNK_ELEMENTS // active.size)
-        for start in range(0, levels.size, chunk):
-            x = levels[start:start + chunk, None]
-            served = np.minimum(active[None, :], x)
-            cuts = active[None, :] - served
-            idx = np.clip(np.searchsorted(cum_width, cuts, side="left"), 1, stack.segment_count)
-            discomfort = cum_cost[idx - 1] + stack.marginal_costs[idx - 1] * (cuts - cum_width[idx - 1])
-            const[start:start + chunk] += probability * (
-                book.energy_price * served.sum(axis=1) + discomfort.sum(axis=1))
+    for probability, total_kwh, loads, stack in per_scenario:
+        suffix = np.append(np.cumsum(loads[::-1])[::-1], 0.0)
+
+        def tail_energy(t: np.ndarray) -> np.ndarray:
+            pos = np.searchsorted(loads, t, side="right")
+            return suffix[pos] - t * (loads.size - pos)
+
+        floors = np.append(0.0, np.cumsum(stack.widths_kw)[:-1])
+        steps = np.diff(stack.marginal_costs, prepend=book.energy_price)
+        cut_cost = sum(step * tail_energy(levels + floor) for step, floor in zip(steps, floors))
+        const += probability * (book.energy_price * total_kwh + cut_cost)
     return levels, const
 
 

@@ -69,6 +69,33 @@ def check_stack_against_book(stack: VclSegmentStack, book: TariffBook) -> None:
             "preferable to consumption")
 
 
+def schedule_and_stack(schedules: Mapping[str, ActivationSchedule] | None,
+                       stacks: Mapping[str, VclSegmentStack] | None,
+                       year: str) -> tuple[ActivationSchedule, VclSegmentStack]:
+    """The activation schedule and discomfort stack filed under a scenario year."""
+    if schedules is None or stacks is None or year not in schedules or year not in stacks:
+        raise ScenarioMismatch(f"no schedule/stack for scenario year {year!r}")
+    return schedules[year], stacks[year]
+
+
+def active_loads(series: HourlyLoadSeries, book: TariffBook, schedule: ActivationSchedule,
+                 stack: VclSegmentStack) -> np.ndarray:
+    """The series' active-hour loads, once schedule, stack and book are checked against it.
+
+    This is the one compatibility check of dynamic inputs, shared with the optimizer.
+    """
+    if schedule.year_label != series.year_label:
+        raise ScenarioMismatch(
+            f"schedule year {schedule.year_label!r} does not match series year "
+            f"{series.year_label!r}")
+    if stack.peak_load_kw < series.peak_kw * (1.0 - PEAK_MATCH_RTOL):
+        raise ScenarioMismatch(
+            f"stack peak basis {stack.peak_load_kw} kW is below the "
+            f"{series.year_label} series peak {series.peak_kw} kW")
+    check_stack_against_book(stack, book)
+    return series.loads[schedule.active_mask(series.hours_count)]
+
+
 def cost_dynamic_cs(series: HourlyLoadSeries, book: TariffBook, x_sub: float,
                     schedule: ActivationSchedule, stack: VclSegmentStack) -> CostBreakdown:
     """Dynamic capacity subscription: load is clamped to the level in active hours only.
@@ -79,20 +106,10 @@ def cost_dynamic_cs(series: HourlyLoadSeries, book: TariffBook, x_sub: float,
     """
     _require_regime(book, TariffRegime.DYNAMIC_CS)
     level = _require_level(x_sub)
-    if schedule.year_label != series.year_label:
-        raise ScenarioMismatch(
-            f"schedule year {schedule.year_label!r} does not match series year "
-            f"{series.year_label!r}")
-    peak = series.peak_kw
-    if stack.peak_load_kw < peak * (1.0 - PEAK_MATCH_RTOL):
-        raise ScenarioMismatch(
-            f"stack peak basis {stack.peak_load_kw} kW is below the series peak {peak} kW")
-    check_stack_against_book(stack, book)
-    mask = schedule.active_mask(series.hours_count)
-    active_loads = series.loads[mask]
-    served_active = np.minimum(active_loads, level)
-    cuts = active_loads - served_active
-    served_total = (series.total_kwh - float(active_loads.sum())) + float(served_active.sum())
+    active = active_loads(series, book, schedule, stack)
+    served_active = np.minimum(active, level)
+    cuts = active - served_active
+    served_total = (series.total_kwh - float(active.sum())) + float(served_active.sum())
     discomfort = float(discomfort_cost_array(stack, cuts).sum()) if cuts.size else 0.0
     return CostBreakdown(
         fixed=book.fixed_annual,
@@ -121,12 +138,8 @@ def expected_cost(scenario_set: ScenarioSet, book: TariffBook, x_sub: float,
         elif book.regime is TariffRegime.STATIC_CS:
             item = cost_static_cs(series, book, level)
         else:
-            if schedules is None or stacks is None:
-                raise ScenarioMismatch("dynamic expected cost needs schedules and stacks per year")
-            year = series.year_label
-            if year not in schedules or year not in stacks:
-                raise ScenarioMismatch(f"no schedule/stack for scenario year {year!r}")
-            item = cost_dynamic_cs(series, book, level, schedules[year], stacks[year])
+            schedule, stack = schedule_and_stack(schedules, stacks, series.year_label)
+            item = cost_dynamic_cs(series, book, level, schedule, stack)
         p = scenario.probability
         energy_below += p * item.energy_below
         excess += p * item.excess

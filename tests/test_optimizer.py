@@ -1,11 +1,17 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from capsub import (ActivationSchedule, DomainError, IllPosed, LoadScenario, PolicyKind,
-                    ScenarioMismatch, ScenarioSet, TariffBook, VclCurveParams,
-                    build_segment_stack, dynamic_objective_lines, expected_cost,
-                    expected_exceedance_hours, optimize_deterministic, optimize_dynamic,
-                    optimize_static, reactive_level, static_objective_lines)
+from capsub import (ActivationSchedule, DomainError, HourlyLoadSeries, IllPosed, LoadScenario,
+                    PolicyKind, ScenarioMismatch, ScenarioSet, SyntheticPopulationSpec,
+                    TariffBook, VclCurveParams, build_segment_stack, derive_activations,
+                    dynamic_objective_lines, expected_cost, expected_exceedance_hours,
+                    generate_population, optimize_deterministic, optimize_dynamic,
+                    optimize_static, reactive_level, stacks_for_scenarios,
+                    static_objective_lines)
+from capsub.tariff_engine import PEAK_MATCH_RTOL
 
 from conftest import make_series, singleton_set
 
@@ -34,6 +40,47 @@ def grid_search_dynamic(scenario_set, book, schedules, stacks, step_fraction=1e-
     ])
     best = int(np.argmin(values))
     return float(grid[best]), float(values[best])
+
+
+def grid_dynamic_objective_lines(scenario_set, book, schedules, stacks):
+    """Independent oracle for the dynamic lines: every candidate level against every active hour.
+
+    This is the levels x active-hours grid that the optimizer used before it
+    switched to tail-energy suffix sums; inputs are assumed to be valid.
+    """
+    per_scenario = []
+    candidates = [np.zeros(1)]
+    for sc in scenario_set.scenarios:
+        series = sc.series
+        stack = stacks[series.year_label]
+        active = series.loads[schedules[series.year_label].active_mask(series.hours_count)]
+        inactive_energy = series.total_kwh - float(active.sum())
+        per_scenario.append((sc.probability, active, stack, inactive_energy))
+        if active.size:
+            offsets = np.cumsum(stack.widths_kw)[:-1]
+            shifted = active[:, None] - offsets[None, :]
+            candidates.append(active)
+            candidates.append(shifted[shifted > 0.0])
+
+    levels = np.unique(np.concatenate(candidates))
+    levels = levels[levels >= 0.0]
+    const = np.full(levels.shape, book.fixed_annual)
+    for probability, active, stack, inactive_energy in per_scenario:
+        const += probability * book.energy_price * inactive_energy
+        if not active.size:
+            continue
+        cum_width = np.concatenate(([0.0], np.cumsum(stack.widths_kw)))
+        cum_cost = np.concatenate(([0.0], np.cumsum(stack.widths_kw * stack.marginal_costs)))
+        chunk = max(1, (1 << 21) // active.size)
+        for start in range(0, levels.size, chunk):
+            x = levels[start:start + chunk, None]
+            served = np.minimum(active[None, :], x)
+            cuts = active[None, :] - served
+            idx = np.clip(np.searchsorted(cum_width, cuts, side="left"), 1, stack.segment_count)
+            discomfort = cum_cost[idx - 1] + stack.marginal_costs[idx - 1] * (cuts - cum_width[idx - 1])
+            const[start:start + chunk] += probability * (
+                book.energy_price * served.sum(axis=1) + discomfort.sum(axis=1))
+    return levels, const
 
 
 def interior_static_book(hours, rng):
@@ -287,3 +334,84 @@ class TestPolicies:
     def test_energy_only_has_nothing_to_optimize(self, energy_book):
         with pytest.raises(DomainError):
             optimize_deterministic(make_series([1.0, 2.0]), energy_book)
+
+
+# loads on a coarse grid repeat and line up with whole segment widths, so
+# duplicate and coinciding breakpoints are common; the rest are arbitrary
+_load_values = st.one_of(st.integers(0, 24).map(lambda k: 0.25 * k),
+                         st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def dynamic_inputs(draw):
+    """A scenario set of 1-3 years with random active hours, and a J-segment stack per year."""
+    hours = draw(st.integers(1, 48))
+    n_years = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n_years, max_size=n_years))
+    segments = draw(st.integers(1, 12))
+    params = VclCurveParams(draw(st.floats(0.5, 10.0)), draw(st.floats(0.5, 20.0)))
+    book = TariffBook.dynamic_cs(draw(st.sampled_from([0.0, 135.0])), 54.0, 0.005, params.voll)
+    scenarios, schedules, stacks = [], {}, {}
+    for k in range(n_years):
+        year = str(2013 + k)
+        loads = np.array(draw(st.lists(_load_values, min_size=hours, max_size=hours)))
+        loads[draw(st.integers(0, hours - 1))] += 0.5  # a positive peak for the stack
+        series = HourlyLoadSeries("c0", year, loads)
+        mask = np.array(draw(st.lists(st.booleans(), min_size=hours, max_size=hours)))
+        schedules[year] = ActivationSchedule(year, np.flatnonzero(mask))
+        # the stack's peak basis may sit just below the series peak
+        shortfall = draw(st.sampled_from([0.0, 0.5 * PEAK_MATCH_RTOL, PEAK_MATCH_RTOL]))
+        stacks[year] = build_segment_stack(params, series.peak_kw * (1.0 - shortfall), segments)
+        scenarios.append(LoadScenario(series, weights[k] / sum(weights)))
+    return ScenarioSet(tuple(scenarios)), book, schedules, stacks
+
+
+class TestDynamicLinesMatchGridOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(dynamic_inputs())
+    def test_same_levels_constants_and_optima(self, inputs):
+        scenario_set, book, schedules, stacks = inputs
+        levels, const = dynamic_objective_lines(scenario_set, book, schedules, stacks)
+        grid_levels, grid_const = grid_dynamic_objective_lines(
+            scenario_set, book, schedules, stacks)
+        np.testing.assert_array_equal(levels, grid_levels)
+        np.testing.assert_allclose(const, grid_const, rtol=1e-12, atol=0.0)
+        for price in (0.0, 0.5, 5.0, 54.0, 500.0):
+            objective = const + price * levels
+            grid_objective = grid_const + price * levels
+            best, grid_best = np.argmin(objective), np.argmin(grid_objective)
+            if best != grid_best:
+                # two candidates an ulp apart whose costs differ below the
+                # grid's rounding: each kernel must rate both picks as tied
+                for values in (objective, grid_objective):
+                    assert values[best] == pytest.approx(values[grid_best], rel=1e-12)
+
+
+class TestAllActiveHours:
+    def test_two_all_active_years_optimize_fast_to_a_local_minimum(self, dynamic_book):
+        # the criterion-9 recipe never loads a consumer below 0.9 - 0.3 = 0.6 kW,
+        # so a 0.5 kW threshold activates all 17,544 hours of 2015-2016; a grid
+        # over levels x active hours took about 50 s on this input
+        spec = SyntheticPopulationSpec(
+            consumer_count=1, years=("2015", "2016"), rng_seed=404, base_load_kw=0.9,
+            seasonal_amplitude=2.2, daily_amplitude=1.2, spike_rate=40.0,
+            spike_magnitude=3.0, noise_amplitude=0.3, cold_year_factor=(0.95, 1.25))
+        (consumer,) = generate_population(spec)
+        schedules = {sc.series.year_label: derive_activations([sc.series], 0.5)
+                     for sc in consumer.scenarios}
+        assert sum(s.count for s in schedules.values()) == 8760 + 8784
+        stacks = stacks_for_scenarios(consumer, VclCurveParams(dynamic_book.voll))
+
+        start = time.perf_counter()
+        result = optimize_dynamic(consumer, dynamic_book, schedules, stacks)
+        assert time.perf_counter() - start < 10.0
+
+        level = result.decision.level
+        assert level > 0.0
+
+        def welfare(x):
+            return expected_cost(consumer, dynamic_book, x, schedules, stacks).total_welfare
+
+        best = welfare(level)
+        assert best <= welfare(level * (1.0 - 1e-6))
+        assert best <= welfare(level * (1.0 + 1e-6))
