@@ -12,7 +12,7 @@ it grows with the consumer's exposure to scarcity hours.
 import numpy as np
 
 from capsub import (VclCurveParams, activation_summary, default_study_spec,
-                    default_tariff_bundle, derive_activations, generate_population,
+                    default_tariff_bundle, derive_schedules, generate_population,
                     optimize_dynamic, optimize_static, stacks_for_scenarios,
                     DEFAULT_THRESHOLD_KW)
 
@@ -29,11 +29,7 @@ for year in years:
     print(f"  {year}: peak {aggregates[year].max():6.1f} kW, "
           f"mean {aggregates[year].mean():6.1f} kW")
 
-schedules = {
-    year: derive_activations([c.scenario_for(year).series for c in population],
-                             DEFAULT_THRESHOLD_KW)
-    for year in years
-}
+schedules = derive_schedules(population, DEFAULT_THRESHOLD_KW)
 print(f"\nactivations at threshold {DEFAULT_THRESHOLD_KW} kW:")
 rows = activation_summary([schedules[y] for y in years])
 total_hours = sum(r.hours for r in rows)

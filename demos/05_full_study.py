@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from capsub import (SyntheticPopulationSpec, VclCurveParams, build_manifest,
-                    calibrate_capacity_price, default_tariff_bundle, derive_activations,
+                    calibrate_capacity_price, default_tariff_bundle, derive_schedules,
                     energy_reference_revenue, generate_population, run_study,
                     stacks_for_scenarios, write_load_csv, write_study_outputs)
 
@@ -42,10 +42,7 @@ threshold = round(0.9 * aggregate_peak, 1)
 print(f"population: {len(population)} consumers, aggregate peak {aggregate_peak:.1f} kW, "
       f"activation threshold {threshold} kW")
 
-schedules = {
-    y: derive_activations([c.scenario_for(y).series for c in population], threshold)
-    for y in years
-}
+schedules = derive_schedules(population, threshold)
 print("activations:", {y: schedules[y].count for y in years})
 
 reference = energy_reference_revenue(population, bundle.energy)

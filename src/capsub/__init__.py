@@ -10,7 +10,8 @@ reproducible multi-year studies over consumer populations.
 __version__ = "0.1.0"
 
 from .activation import (ActivationSchedule, ActivationSummaryRow, activation_summary,
-                         derive_activations, read_schedules_csv, write_schedules_csv)
+                         derive_activations, derive_schedules, read_schedules_csv,
+                         write_schedules_csv)
 from .calibration import (CalibrationOutcome, calibrate_capacity_price,
                           energy_reference_revenue)
 from .config import (DEFAULT_TARIFF_CONFIG, DEFAULT_THRESHOLD_KW, TariffBundle,
@@ -50,7 +51,7 @@ __all__ = [
     "activation_summary", "aggregate_revenue_table", "boxplot_stats", "build_manifest",
     "build_segment_stack", "calibrate_capacity_price", "cost_dynamic_cs",
     "cost_energy_tariff", "cost_static_cs", "default_study_spec", "default_tariff_bundle",
-    "derive_activations", "discomfort_cost", "dynamic_objective_lines",
+    "derive_activations", "derive_schedules", "discomfort_cost", "dynamic_objective_lines",
     "energy_reference_revenue", "expected_cost", "expected_exceedance_hours",
     "full_load_hours", "generate_population", "load_factor", "load_tariff_config",
     "ols_fit", "optimize_deterministic", "optimize_dynamic", "optimize_static",

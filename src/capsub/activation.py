@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data_model import HourlyLoadSeries
+from .data_model import HourlyLoadSeries, ScenarioSet
 from .errors import DomainError, MalformedRow, ScenarioMismatch
 
 
@@ -71,6 +71,27 @@ def derive_activations(population: Sequence[HourlyLoadSeries],
     aggregate = np.sum([s.loads for s in population], axis=0)
     active = np.flatnonzero(aggregate > threshold_kw)
     return ActivationSchedule(year, active, float(threshold_kw))
+
+
+def derive_schedules(population: Sequence[ScenarioSet],
+                     threshold_kw: float) -> dict[str, ActivationSchedule]:
+    """One schedule per scenario year, from the aggregate load of the population.
+
+    Every consumer must cover the same years, in the same order, as the first.
+    """
+    if not population:
+        raise ScenarioMismatch("cannot derive activations from an empty population")
+    years = population[0].year_labels
+    for consumer in population[1:]:
+        if consumer.year_labels != years:
+            raise ScenarioMismatch(
+                f"consumer {consumer.consumer_id} covers years {consumer.year_labels}, "
+                f"expected {years} as for {population[0].consumer_id}")
+    return {
+        year: derive_activations(
+            [consumer.scenario_for(year).series for consumer in population], threshold_kw)
+        for year in years
+    }
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 from .activation import ActivationSchedule
 from .data_model import ScenarioSet, TariffBook, TariffRegime
 from .errors import CalibrationFailed, DomainError
-from .optimizer import dynamic_objective_lines, static_objective_lines
+from .optimizer import objective_lines
 from .tariff_engine import expected_cost
 from .vcl import VclSegmentStack
 
@@ -55,15 +55,9 @@ class CalibrationOutcome:
 
 
 def _consumer_lines(population, base_book, schedules, stacks_by_consumer):
-    lines = []
-    for i, consumer in enumerate(population):
-        if base_book.regime is TariffRegime.STATIC_CS:
-            levels, const = static_objective_lines(consumer, base_book)
-        else:
-            lines_stacks = stacks_by_consumer[i]
-            levels, const = dynamic_objective_lines(consumer, base_book, schedules, lines_stacks)
-        lines.append((levels, const))
-    return lines
+    stacks_by_consumer = stacks_by_consumer or [None] * len(population)
+    return [objective_lines(consumer, base_book, schedules, stacks)
+            for consumer, stacks in zip(population, stacks_by_consumer, strict=True)]
 
 
 def _aggregate_at(lines, price: float) -> float:

@@ -12,14 +12,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .activation import derive_activations
+from .activation import derive_schedules
 from .calibration import calibrate_capacity_price, energy_reference_revenue
 from .config import (DEFAULT_THRESHOLD_KW, bundle_to_dict, default_study_spec,
                      default_tariff_bundle, load_tariff_config)
+from .data_model import TariffRegime
 from .errors import CalibrationFailed, CapsubError, ConfigError
 from .ingest import (SyntheticPopulationSpec, generate_population, parse_load_csv,
                      scenario_sets_from_series, write_load_csv)
-from .study import (build_manifest, run_study, run_study_from_manifest,
+from .study import (CS_REGIMES, build_manifest, run_study, run_study_from_manifest,
                     write_study_outputs)
 from .vcl import DEFAULT_SEGMENT_COUNT, VclCurveParams, stacks_for_scenarios
 
@@ -102,33 +103,23 @@ def _cmd_calibrate(args) -> int:
     population = scenario_sets_from_series(parse_load_csv(args.loads))
     reference = energy_reference_revenue(population, bundle.energy)
 
-    if args.regime == "static":
-        base_book = bundle.static
-        schedules = None
-        stacks = None
-    else:
-        base_book = bundle.dynamic
-        years = population[0].year_labels
-        schedules = {
-            year: derive_activations(
-                [c.scenario_for(year).series for c in population], args.threshold_kw)
-            for year in years
-        }
+    regime = TariffRegime(args.regime)
+    schedules = stacks = None
+    if regime is TariffRegime.DYNAMIC_CS:
+        schedules = derive_schedules(population, args.threshold_kw)
         params = VclCurveParams(bundle.dynamic.voll, bundle.vcl_steepness)
         stacks = [stacks_for_scenarios(c, params, args.vcl_segments) for c in population]
 
-    outcome = calibrate_capacity_price(population, base_book, reference, args.tolerance,
-                                       schedules=schedules, stacks_by_consumer=stacks)
+    outcome = calibrate_capacity_price(population, bundle.book(regime), reference,
+                                       args.tolerance, schedules=schedules,
+                                       stacks_by_consumer=stacks)
 
-    if args.regime == "static":
-        bundle = replace(bundle, static=outcome.book)
-    else:
-        bundle = replace(bundle, dynamic=outcome.book)
+    bundle = bundle.with_book(outcome.book)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     payload = bundle_to_dict(bundle)
     payload["calibration"] = {
-        "regime": args.regime,
+        "regime": regime.value,
         "capacity_price_eur_per_kw_year": outcome.capacity_price,
         "reference_revenue_eur": outcome.reference_revenue,
         "achieved_aggregate_eur": outcome.achieved_aggregate,
@@ -156,19 +147,17 @@ def _cmd_study(args) -> int:
     policies = args.policy or []
     if not policies:
         raise ConfigError("study: at least one --policy is required")
-    if args.regime == "energy":
-        regimes: tuple[str, ...] = ()
-    elif args.regime:
-        regimes = (args.regime,)
-    else:
-        regimes = ("static", "dynamic")
+    # both CS regimes by default; "--regime energy" leaves only the baseline
+    regimes = CS_REGIMES if args.regime is None else \
+        tuple(r for r in CS_REGIMES if r is TariffRegime(args.regime))
 
     bundle = load_tariff_config(args.tariff) if args.tariff else default_tariff_bundle()
     population = scenario_sets_from_series(parse_load_csv(args.loads))
     result = run_study(population, bundle, policies=policies, regimes=regimes,
                        threshold_kw=args.threshold_kw, vcl_segments=args.vcl_segments,
                        jobs=args.jobs)
-    manifest = build_manifest(args.loads, bundle, policies=policies, regimes=regimes,
+    manifest = build_manifest(args.loads, bundle, policies=policies,
+                              regimes=[r.value for r in result.regimes],
                               threshold_kw=args.threshold_kw,
                               vcl_segments=args.vcl_segments, seed=args.seed)
     written = write_study_outputs(result, args.out, manifest)

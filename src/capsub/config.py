@@ -10,10 +10,10 @@ marginal grid losses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .data_model import TariffBook
+from .data_model import TariffBook, TariffRegime
 from .errors import ConfigError
 from .ingest import SyntheticPopulationSpec
 from .vcl import DEFAULT_STEEPNESS
@@ -39,6 +39,11 @@ DEFAULT_TARIFF_CONFIG: dict = {
 }
 
 
+# The TariffBundle field that holds each regime's book.
+_BOOK_FIELDS = {TariffRegime.ENERGY_ONLY: "energy", TariffRegime.STATIC_CS: "static",
+                TariffRegime.DYNAMIC_CS: "dynamic"}
+
+
 @dataclass(frozen=True)
 class TariffBundle:
     """The three tariff books of one study plus the discomfort-curve steepness."""
@@ -47,6 +52,14 @@ class TariffBundle:
     static: TariffBook
     dynamic: TariffBook
     vcl_steepness: float = DEFAULT_STEEPNESS
+
+    def book(self, regime: TariffRegime) -> TariffBook:
+        """The bundle's book for ``regime``."""
+        return getattr(self, _BOOK_FIELDS[regime])
+
+    def with_book(self, book: TariffBook) -> "TariffBundle":
+        """A copy with ``book`` in place of the bundle's book of the same regime."""
+        return replace(self, **{_BOOK_FIELDS[book.regime]: book})
 
 
 def _number(section: str, data: dict, key: str) -> float:

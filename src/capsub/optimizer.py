@@ -2,19 +2,17 @@
 
 Both expected-cost objectives are one-dimensional convex piecewise-linear
 functions of the subscription level, so the exact global optimum is found by
-evaluating every breakpoint candidate rather than by calling an LP solver:
-
-* static: breakpoints are the distinct load values across all scenarios
-  (the objective's subgradient is C_sub - (C_high - C_low) * H(x), where
-  H(x) is the expected number of hours with load above x);
-* dynamic: breakpoints are the active-hour load values and their offsets by
-  whole discomfort-segment widths; each is costed from the tail energy above
-  a level, a suffix sum of the sorted active loads, in O(J log N) for N
-  active hours and J segments.
+evaluating every breakpoint candidate rather than by calling an LP solver.
+One kernel costs both from the tail energies T(t) = sum_i max(a_i - t, 0) of
+a scenario's sorted loads, in O(J log N) per candidate for N loads and J
+segments: the dynamic objective over active-hour loads and the discomfort
+stack, the static one over every hour with one segment at the excess fee.
 
 Each objective decomposes as const(x_k) + capacity_price * x_k over the
 candidate levels, which lets calibration re-optimize cheaply while scanning
-capacity prices. Ties are broken toward the smaller level.
+capacity prices. Ties go to the smallest level: levels whose objective is
+within TIE_RTOL of the minimum count as tied, so rounding cannot pick the
+upper end of a flat piece.
 """
 
 from __future__ import annotations
@@ -27,9 +25,13 @@ import numpy as np
 from .activation import ActivationSchedule
 from .data_model import (CostBreakdown, HourlyLoadSeries, LoadScenario, PolicyKind,
                          ScenarioSet, SubscriptionDecision, TariffBook, TariffRegime)
-from .errors import DomainError, IllPosed, ScenarioMismatch
-from .tariff_engine import active_loads, expected_cost, schedule_and_stack
+from .errors import DomainError, IllPosed
+from .tariff_engine import active_loads, expected_cost, require_regime, schedule_and_stack
 from .vcl import VclSegmentStack
+
+# well below the ~1e-10 relative cost step between neighbouring breakpoints
+TIE_RTOL = 1e-13
+
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -40,21 +42,39 @@ class OptimizationResult:
     candidate_count: int
 
 
-def _pooled_sorted(scenario_set: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
-    values = np.concatenate([sc.series.loads for sc in scenario_set.scenarios])
-    weights = np.concatenate([
-        np.full(sc.series.hours_count, sc.probability) for sc in scenario_set.scenarios
-    ])
-    order = np.argsort(values, kind="stable")
-    return values[order], weights[order]
-
-
 def expected_exceedance_hours(scenario_set: ScenarioSet, level: float) -> float:
     """Expected number of hours per year with load strictly above ``level``."""
     return float(sum(
         sc.probability * int(np.count_nonzero(sc.series.loads > level))
         for sc in scenario_set.scenarios
     ))
+
+
+def _tail_energy_lines(book: TariffBook, scenarios) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and constants of sum_s p_s (e * total_kwh + sum_j steps[j] * T(x + floors[j])).
+
+    ``scenarios`` holds (probability, total_kwh, loads, steps, floors); a cut
+    beyond floors[j] costs steps[j] more per kWh. Candidates are 0 and every
+    load minus a floor, where the objective changes slope.
+    """
+    candidates = [np.zeros(1)]
+    for _, _, loads, _, floors in scenarios:
+        shifted = loads[:, None] - floors[None, :]
+        candidates.append(shifted[shifted >= 0.0])
+    levels = np.unique(np.concatenate(candidates))
+
+    const = np.full(levels.shape, book.fixed_annual)
+    for probability, total_kwh, loads, steps, floors in scenarios:
+        loads = np.sort(loads)
+        suffix = np.append(np.cumsum(loads[::-1])[::-1], 0.0)
+
+        def tail_energy(t: np.ndarray) -> np.ndarray:
+            pos = np.searchsorted(loads, t, side="right")
+            return suffix[pos] - t * (loads.size - pos)
+
+        cut_cost = sum(step * tail_energy(levels + floor) for step, floor in zip(steps, floors))
+        const += probability * (book.energy_price * total_kwh + cut_cost)
+    return levels, const
 
 
 def static_objective_lines(scenario_set: ScenarioSet,
@@ -64,28 +84,17 @@ def static_objective_lines(scenario_set: ScenarioSet,
     The expected static cost at candidate level x_k under capacity price c is
     exactly const[k] + c * x_k; levels are sorted ascending and enumerate
     every vertex of the piecewise-linear objective (0 plus all distinct
-    load values across scenarios).
+    load values across scenarios): every hour counts, with one segment at 0.
     """
-    if book.regime is not TariffRegime.STATIC_CS:
-        raise DomainError(f"expected a static CS book, got regime {book.regime.value!r}")
+    require_regime(book, TariffRegime.STATIC_CS)
     if book.excess_price <= book.energy_price:
         raise IllPosed("static optimization needs excess_price > energy_price")
-    sorted_loads, sorted_weights = _pooled_sorted(scenario_set)
-    cum_w = np.cumsum(sorted_weights)
-    cum_wv = np.cumsum(sorted_weights * sorted_loads)
-    total_energy = cum_wv[-1]
-
-    levels = np.unique(np.concatenate(([0.0], sorted_loads)))
-    pos = np.searchsorted(sorted_loads, levels, side="right")
-    below_wv = np.where(pos > 0, cum_wv[np.maximum(pos - 1, 0)], 0.0)
-    below_w = np.where(pos > 0, cum_w[np.maximum(pos - 1, 0)], 0.0)
-    exceed_hours = cum_w[-1] - below_w
-    energy_below = below_wv + levels * exceed_hours
-    energy_above = total_energy - energy_below
-    const = (book.fixed_annual
-             + book.energy_price * energy_below
-             + book.excess_price * energy_above)
-    return levels, const
+    steps = np.array([book.excess_price - book.energy_price])
+    floors = np.zeros(1)
+    return _tail_energy_lines(book, [
+        (sc.probability, sc.series.total_kwh, sc.series.loads, steps, floors)
+        for sc in scenario_set.scenarios
+    ])
 
 
 def dynamic_objective_lines(scenario_set: ScenarioSet, book: TariffBook,
@@ -97,58 +106,58 @@ def dynamic_objective_lines(scenario_set: ScenarioSet, book: TariffBook,
     Candidates are 0, every active-hour load, and each active-hour load minus
     whole segment widths (where the greedy discomfort fill changes slope).
     const[k] covers fixed, energy on served consumption and expected
-    discomfort at level x_k. A scenario's active loads a have tail energy
-    T(t) = sum_i max(a_i - t, 0), the energy cut at level t; with energy fee
-    e, segment costs m_j and cumulative widths W_j (W_0 = 0), the scenario
-    adds e * total_kwh + sum_j (m_j - m_{j-1}) * T(x_k + W_{j-1}), m_0 = e,
-    since a cut kWh saves e; the top segment absorbs every cut beyond W_{J-1}.
-    T is a suffix sum of the sorted loads, so each candidate takes J binary
-    searches, O(J log N) for N active hours and J segments.
+    discomfort at level x_k. With energy fee e, segment costs m_j and
+    cumulative widths W_j (W_0 = 0), a scenario adds
+    e * total_kwh + sum_j (m_j - m_{j-1}) * T(x_k + W_{j-1}), m_0 = e, over
+    its active loads, since a cut kWh saves e; the top segment absorbs every
+    cut beyond W_{J-1}.
     """
-    if book.regime is not TariffRegime.DYNAMIC_CS:
-        raise DomainError(f"expected a dynamic CS book, got regime {book.regime.value!r}")
-    per_scenario = []
-    candidates = [np.zeros(1)]
+    require_regime(book, TariffRegime.DYNAMIC_CS)
+    scenarios = []
     for sc in scenario_set.scenarios:
         schedule, stack = schedule_and_stack(schedules, stacks, sc.series.year_label)
         active = active_loads(sc.series, book, schedule, stack)
-        per_scenario.append((sc.probability, sc.series.total_kwh, np.sort(active), stack))
-        if active.size:
-            offsets = np.cumsum(stack.widths_kw)[:-1]
-            shifted = active[:, None] - offsets[None, :]
-            candidates.append(active)
-            candidates.append(shifted[shifted > 0.0])
-
-    levels = np.unique(np.concatenate(candidates))
-    levels = levels[levels >= 0.0]
-    const = np.full(levels.shape, book.fixed_annual)
-    for probability, total_kwh, loads, stack in per_scenario:
-        suffix = np.append(np.cumsum(loads[::-1])[::-1], 0.0)
-
-        def tail_energy(t: np.ndarray) -> np.ndarray:
-            pos = np.searchsorted(loads, t, side="right")
-            return suffix[pos] - t * (loads.size - pos)
-
-        floors = np.append(0.0, np.cumsum(stack.widths_kw)[:-1])
         steps = np.diff(stack.marginal_costs, prepend=book.energy_price)
-        cut_cost = sum(step * tail_energy(levels + floor) for step, floor in zip(steps, floors))
-        const += probability * (book.energy_price * total_kwh + cut_cost)
-    return levels, const
+        floors = np.append(0.0, np.cumsum(stack.widths_kw)[:-1])
+        scenarios.append((sc.probability, sc.series.total_kwh, active, steps, floors))
+    return _tail_energy_lines(book, scenarios)
+
+
+def objective_lines(scenario_set: ScenarioSet, book: TariffBook,
+                    schedules: Mapping[str, ActivationSchedule] | None = None,
+                    stacks: Mapping[str, VclSegmentStack] | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate lines of the book's regime; dynamic books need schedules and stacks."""
+    if book.regime is TariffRegime.STATIC_CS:
+        return static_objective_lines(scenario_set, book)
+    if book.regime is TariffRegime.DYNAMIC_CS:
+        return dynamic_objective_lines(scenario_set, book, schedules, stacks)
+    raise DomainError("the energy-only tariff has no subscription level to optimize")
 
 
 def _argmin_level(levels: np.ndarray, objective: np.ndarray, min_level: float) -> float:
-    best = int(np.argmin(objective))
-    return max(float(levels[best]), float(min_level))
+    best = float(objective.min())
+    tied = np.flatnonzero(objective <= best + TIE_RTOL * abs(best))
+    return max(float(levels[tied[0]]), float(min_level))
+
+
+def optimize_expected(scenario_set: ScenarioSet, book: TariffBook,
+                      schedules: Mapping[str, ActivationSchedule] | None = None,
+                      stacks: Mapping[str, VclSegmentStack] | None = None,
+                      min_level: float = 0.0) -> OptimizationResult:
+    """Exact minimizer of the expected cost (static) or welfare (dynamic) of the book."""
+    levels, const = objective_lines(scenario_set, book, schedules, stacks)
+    level = _argmin_level(levels, const + book.capacity_price * levels, min_level)
+    decision = SubscriptionDecision(level, PolicyKind.STOCHASTIC)
+    breakdown = expected_cost(scenario_set, book, level, schedules, stacks)
+    return OptimizationResult(decision, breakdown, int(levels.size))
 
 
 def optimize_static(scenario_set: ScenarioSet, book: TariffBook,
                     min_level: float = 0.0) -> OptimizationResult:
     """Exact expected-cost minimizer for the static CS tariff."""
-    levels, const = static_objective_lines(scenario_set, book)
-    level = _argmin_level(levels, const + book.capacity_price * levels, min_level)
-    decision = SubscriptionDecision(level, PolicyKind.STOCHASTIC)
-    breakdown = expected_cost(scenario_set, book, level)
-    return OptimizationResult(decision, breakdown, int(levels.size))
+    require_regime(book, TariffRegime.STATIC_CS)
+    return optimize_expected(scenario_set, book, min_level=min_level)
 
 
 def optimize_dynamic(scenario_set: ScenarioSet, book: TariffBook,
@@ -156,11 +165,8 @@ def optimize_dynamic(scenario_set: ScenarioSet, book: TariffBook,
                      stacks: Mapping[str, VclSegmentStack],
                      min_level: float = 0.0) -> OptimizationResult:
     """Exact expected-welfare (monetary + discomfort) minimizer for dynamic CS."""
-    levels, const = dynamic_objective_lines(scenario_set, book, schedules, stacks)
-    level = _argmin_level(levels, const + book.capacity_price * levels, min_level)
-    decision = SubscriptionDecision(level, PolicyKind.STOCHASTIC)
-    breakdown = expected_cost(scenario_set, book, level, schedules, stacks)
-    return OptimizationResult(decision, breakdown, int(levels.size))
+    require_regime(book, TariffRegime.DYNAMIC_CS)
+    return optimize_expected(scenario_set, book, schedules, stacks, min_level)
 
 
 def optimize_deterministic(series: HourlyLoadSeries, book: TariffBook,
@@ -168,16 +174,10 @@ def optimize_deterministic(series: HourlyLoadSeries, book: TariffBook,
                            stack: VclSegmentStack | None = None,
                            min_level: float = 0.0) -> OptimizationResult:
     """Perfect-foresight optimum for a single year (probability-1 scenario)."""
-    singleton = ScenarioSet((LoadScenario(series, 1.0),))
     year = series.year_label
-    if book.regime is TariffRegime.STATIC_CS:
-        result = optimize_static(singleton, book, min_level)
-    elif book.regime is TariffRegime.DYNAMIC_CS:
-        if schedule is None or stack is None:
-            raise ScenarioMismatch("deterministic dynamic optimization needs a schedule and stack")
-        result = optimize_dynamic(singleton, book, {year: schedule}, {year: stack}, min_level)
-    else:
-        raise DomainError("the energy-only tariff has no subscription level to optimize")
+    result = optimize_expected(ScenarioSet((LoadScenario(series, 1.0),)), book,
+                               None if schedule is None else {year: schedule},
+                               None if stack is None else {year: stack}, min_level)
     decision = replace(result.decision, policy=PolicyKind.DETERMINISTIC, source_year_label=year)
     return OptimizationResult(decision, result.expected_breakdown, result.candidate_count)
 

@@ -18,27 +18,27 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import __version__
-from .activation import ActivationSchedule, derive_activations, write_schedules_csv
+from .activation import ActivationSchedule, derive_schedules, write_schedules_csv
 from .config import TariffBundle, bundle_from_dict, bundle_to_dict
-from .data_model import CostBreakdown, ScenarioSet, full_load_hours, load_factor
-from .errors import ConfigError, DomainError, ScenarioMismatch
+from .data_model import CostBreakdown, ScenarioSet, TariffRegime, full_load_hours, load_factor
+from .errors import ConfigError, DomainError
 from .ingest import parse_load_csv, scenario_sets_from_series
-from .optimizer import optimize_deterministic, optimize_dynamic, optimize_static
+from .optimizer import optimize_deterministic, optimize_expected
 from .reporting import (aggregate_revenue_table, write_aggregate_revenue_csv,
                         write_annual_costs_csv, write_fullloadhours_csv,
                         write_loadfactor_scatter_csv, write_relative_cost_csv,
                         write_subscription_levels_csv)
-from .tariff_engine import cost_dynamic_cs, cost_energy_tariff, cost_static_cs
+from .tariff_engine import annual_cost, cost_energy_tariff
 from .vcl import DEFAULT_SEGMENT_COUNT, VclCurveParams, stacks_for_scenarios
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "study.json"
 
 POLICY_NAMES = ("det", "stoch", "reactive")
-CS_REGIMES = ("static", "dynamic")
+CS_REGIMES = (TariffRegime.STATIC_CS, TariffRegime.DYNAMIC_CS)
 BASELINE_POLICY = "baseline"
 
 
@@ -62,7 +62,7 @@ class StudyResult:
     schedules: dict[str, ActivationSchedule]
     bundle: TariffBundle
     policies: tuple[str, ...]
-    regimes: tuple[str, ...]
+    regimes: tuple[TariffRegime, ...]
     threshold_kw: float
     vcl_segments: int
 
@@ -74,81 +74,73 @@ class StudyResult:
 def _consumer_worker(args: tuple) -> ConsumerStudy:
     (scenario_set, bundle, schedules, policies, regimes, vcl_segments, min_level) = args
     years = scenario_set.year_labels
-    flh = {}
-    lf = {}
+    series = {sc.series.year_label: sc.series for sc in scenario_set.scenarios}
+    flh = {year: full_load_hours(series[year]) for year in years}
+    lf = {year: load_factor(series[year]) for year in years}
     levels: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
-    breakdowns: dict[tuple[str, str, str], CostBreakdown] = {}
-
-    for sc in scenario_set.scenarios:
-        year = sc.series.year_label
-        flh[year] = full_load_hours(sc.series)
-        lf[year] = load_factor(sc.series)
-        breakdowns[("energy", BASELINE_POLICY, year)] = cost_energy_tariff(
-            sc.series, bundle.energy)
+    breakdowns: dict[tuple[str, str, str], CostBreakdown] = {
+        ("energy", BASELINE_POLICY, year): cost_energy_tariff(series[year], bundle.energy)
+        for year in years
+    }
 
     params = VclCurveParams(bundle.dynamic.voll, bundle.vcl_steepness)
     stacks = stacks_for_scenarios(scenario_set, params, vcl_segments) \
-        if "dynamic" in regimes else {}
+        if TariffRegime.DYNAMIC_CS in regimes else {}
 
     for regime in regimes:
-        if regime == "static":
-            book = bundle.static
-
-            def det_result(year):
-                return optimize_deterministic(
-                    scenario_set.scenario_for(year).series, book, min_level=min_level)
-
-            def evaluate(year, level):
-                return cost_static_cs(scenario_set.scenario_for(year).series, book, level)
-        else:
-            book = bundle.dynamic
-
-            def det_result(year):
-                return optimize_deterministic(
-                    scenario_set.scenario_for(year).series, book,
-                    schedules[year], stacks[year], min_level=min_level)
-
-            def evaluate(year, level):
-                return cost_dynamic_cs(scenario_set.scenario_for(year).series, book,
-                                       level, schedules[year], stacks[year])
+        book = bundle.book(regime)
+        name = regime.value
 
         det_by_year = {}
         if "det" in policies or "reactive" in policies:
-            det_by_year = {year: det_result(year) for year in years}
+            det_by_year = {
+                year: optimize_deterministic(series[year], book, schedules[year],
+                                             stacks.get(year), min_level=min_level)
+                for year in years
+            }
 
         if "det" in policies:
-            levels[(regime, "det")] = tuple(
+            levels[(name, "det")] = tuple(
                 (year, det_by_year[year].decision.level) for year in years)
             for year in years:
-                breakdowns[(regime, "det", year)] = det_by_year[year].expected_breakdown
+                breakdowns[(name, "det", year)] = det_by_year[year].expected_breakdown
 
         if "stoch" in policies:
-            if regime == "static":
-                result = optimize_static(scenario_set, book, min_level=min_level)
-            else:
-                result = optimize_dynamic(scenario_set, book, schedules, stacks,
-                                          min_level=min_level)
-            level = result.decision.level
-            levels[(regime, "stoch")] = (("", level),)
+            level = optimize_expected(scenario_set, book, schedules, stacks,
+                                      min_level=min_level).decision.level
+            levels[(name, "stoch")] = (("", level),)
             for year in years:
-                breakdowns[(regime, "stoch", year)] = evaluate(year, level)
+                breakdowns[(name, "stoch", year)] = annual_cost(
+                    series[year], book, level, schedules, stacks)
 
         if "reactive" in policies:
             reactive_rows = []
             for prev, year in zip(years, years[1:]):
                 level = det_by_year[prev].decision.level
                 reactive_rows.append((year, level))
-                breakdowns[(regime, "reactive", year)] = evaluate(year, level)
-            levels[(regime, "reactive")] = tuple(reactive_rows)
+                breakdowns[(name, "reactive", year)] = annual_cost(
+                    series[year], book, level, schedules, stacks)
+            levels[(name, "reactive")] = tuple(reactive_rows)
 
     return ConsumerStudy(scenario_set.consumer_id, years, flh, lf, levels, breakdowns)
 
 
+def _cs_regime(name: str | TariffRegime) -> TariffRegime:
+    for regime in CS_REGIMES:
+        if name in (regime, regime.value):
+            return regime
+    raise ConfigError(f"regimes: unknown capacity-subscription regime {name!r}")
+
+
 def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
-              policies: Sequence[str], regimes: Sequence[str] = CS_REGIMES,
+              policies: Sequence[str], regimes: Sequence[str | TariffRegime] = CS_REGIMES,
               threshold_kw: float, vcl_segments: int = DEFAULT_SEGMENT_COUNT,
               jobs: int = 1, min_level: float = 0.0) -> StudyResult:
-    """Run the full comparison study; deterministic for given inputs."""
+    """Run the full comparison study; deterministic for given inputs.
+
+    ``regimes`` names capacity-subscription regimes ("static", "dynamic") as
+    the manifest records them, or gives them as TariffRegime members.
+    """
     if not population:
         raise DomainError("population must not be empty")
     policies = tuple(dict.fromkeys(policies))
@@ -157,25 +149,11 @@ def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
     for policy in policies:
         if policy not in POLICY_NAMES:
             raise ConfigError(f"policies: unknown policy {policy!r}")
-    regimes = tuple(dict.fromkeys(regimes))
-    for regime in regimes:
-        if regime not in CS_REGIMES:
-            raise ConfigError(f"regimes: unknown capacity-subscription regime {regime!r}")
+    regimes = tuple(dict.fromkeys(_cs_regime(regime) for regime in regimes))
     if vcl_segments < 1:
         raise ConfigError(f"vcl_segments: must be >= 1, got {vcl_segments}")
 
-    years = population[0].year_labels
-    for consumer in population[1:]:
-        if consumer.year_labels != years:
-            raise ScenarioMismatch(
-                f"consumer {consumer.consumer_id} covers years {consumer.year_labels}, "
-                f"expected {years} as for {population[0].consumer_id}")
-
-    schedules = {
-        year: derive_activations(
-            [consumer.scenario_for(year).series for consumer in population], threshold_kw)
-        for year in years
-    }
+    schedules = derive_schedules(population, threshold_kw)
 
     ordered = sorted(population, key=lambda s: s.consumer_id)
     work = [(consumer, bundle, schedules, policies, regimes, vcl_segments, min_level)
@@ -186,7 +164,7 @@ def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
     else:
         consumers = tuple(map(_consumer_worker, work))
 
-    return StudyResult(consumers, schedules, bundle, policies, tuple(regimes),
+    return StudyResult(consumers, schedules, bundle, policies, regimes,
                        float(threshold_kw), int(vcl_segments))
 
 
@@ -258,11 +236,11 @@ def run_study_from_manifest(manifest_path: str | Path, jobs: int = 1) -> tuple[S
 
 
 def _policy_cost_total(consumer: ConsumerStudy, regime: str, policy: str,
-                       years: Sequence[str], welfare: bool) -> float:
+                       years: Sequence[str]) -> float:
+    """Payments plus discomfort; only dynamic rows carry discomfort, the rest add 0.0."""
     total = 0.0
     for year in years:
-        bd = consumer.breakdowns[(regime, policy, year)]
-        total += bd.total_welfare if welfare else bd.total_monetary
+        total += consumer.breakdowns[(regime, policy, year)].total_welfare
     return total
 
 
@@ -312,16 +290,12 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path,
 
     consumer_ids = [c.consumer_id for c in consumers]
     energy_totals = [
-        _policy_cost_total(c, "energy", BASELINE_POLICY, years, welfare=False)
-        for c in consumers
+        _policy_cost_total(c, "energy", BASELINE_POLICY, years) for c in consumers
     ]
 
-    for regime in result.regimes:
-        welfare = regime == "dynamic"
+    for regime in (r.value for r in result.regimes):
         if "stoch" in result.policies:
-            stoch_totals = [
-                _policy_cost_total(c, regime, "stoch", years, welfare) for c in consumers
-            ]
+            stoch_totals = [_policy_cost_total(c, regime, "stoch", years) for c in consumers]
             write_relative_cost_csv(
                 consumer_ids, stoch_totals, energy_totals,
                 record(f"relative_cost_{regime}_stoch_vs_energy.csv"),
@@ -335,12 +309,10 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path,
         if "reactive" in result.policies and "stoch" in result.policies and len(years) > 1:
             reactive_years = years[1:]
             reactive_totals = [
-                _policy_cost_total(c, regime, "reactive", reactive_years, welfare)
-                for c in consumers
+                _policy_cost_total(c, regime, "reactive", reactive_years) for c in consumers
             ]
             stoch_same_years = [
-                _policy_cost_total(c, regime, "stoch", reactive_years, welfare)
-                for c in consumers
+                _policy_cost_total(c, regime, "stoch", reactive_years) for c in consumers
             ]
             write_relative_cost_csv(
                 consumer_ids, reactive_totals, stoch_same_years,

@@ -22,7 +22,8 @@ from .vcl import VclSegmentStack, discomfort_cost_array
 PEAK_MATCH_RTOL = 1e-9
 
 
-def _require_regime(book: TariffBook, regime: TariffRegime) -> None:
+def require_regime(book: TariffBook, regime: TariffRegime) -> None:
+    """Reject a book of another regime with a DomainError."""
     if book.regime is not regime:
         raise DomainError(f"tariff book has regime {book.regime.value!r}, expected {regime.value!r}")
 
@@ -36,7 +37,7 @@ def _require_level(x_sub: float) -> float:
 
 def cost_energy_tariff(series: HourlyLoadSeries, book: TariffBook) -> CostBreakdown:
     """Fixed charge plus a volumetric fee on all consumption."""
-    _require_regime(book, TariffRegime.ENERGY_ONLY)
+    require_regime(book, TariffRegime.ENERGY_ONLY)
     return CostBreakdown(
         fixed=book.fixed_annual,
         capacity=0.0,
@@ -46,7 +47,7 @@ def cost_energy_tariff(series: HourlyLoadSeries, book: TariffBook) -> CostBreakd
 
 def cost_static_cs(series: HourlyLoadSeries, book: TariffBook, x_sub: float) -> CostBreakdown:
     """Static capacity subscription: excess above the level pays the high fee every hour."""
-    _require_regime(book, TariffRegime.STATIC_CS)
+    require_regime(book, TariffRegime.STATIC_CS)
     level = _require_level(x_sub)
     below = np.minimum(series.loads, level)
     energy_below = float(below.sum())
@@ -104,7 +105,7 @@ def cost_dynamic_cs(series: HourlyLoadSeries, book: TariffBook, x_sub: float,
     of the subscription. During activations, consumption above the level is
     cut and valued at the stack's increasing discomfort schedule.
     """
-    _require_regime(book, TariffRegime.DYNAMIC_CS)
+    require_regime(book, TariffRegime.DYNAMIC_CS)
     level = _require_level(x_sub)
     active = active_loads(series, book, schedule, stack)
     served_active = np.minimum(active, level)
@@ -117,6 +118,18 @@ def cost_dynamic_cs(series: HourlyLoadSeries, book: TariffBook, x_sub: float,
         energy_below=book.energy_price * served_total,
         discomfort=discomfort,
     )
+
+
+def annual_cost(series: HourlyLoadSeries, book: TariffBook, x_sub: float,
+                schedules: Mapping[str, ActivationSchedule] | None = None,
+                stacks: Mapping[str, VclSegmentStack] | None = None) -> CostBreakdown:
+    """One year's cost under the book's regime; dynamic books need its schedule and stack."""
+    if book.regime is TariffRegime.ENERGY_ONLY:
+        return cost_energy_tariff(series, book)
+    if book.regime is TariffRegime.STATIC_CS:
+        return cost_static_cs(series, book, x_sub)
+    schedule, stack = schedule_and_stack(schedules, stacks, series.year_label)
+    return cost_dynamic_cs(series, book, x_sub, schedule, stack)
 
 
 def expected_cost(scenario_set: ScenarioSet, book: TariffBook, x_sub: float,
@@ -132,14 +145,7 @@ def expected_cost(scenario_set: ScenarioSet, book: TariffBook, x_sub: float,
     excess = 0.0
     discomfort = 0.0
     for scenario in scenario_set.scenarios:
-        series = scenario.series
-        if book.regime is TariffRegime.ENERGY_ONLY:
-            item = cost_energy_tariff(series, book)
-        elif book.regime is TariffRegime.STATIC_CS:
-            item = cost_static_cs(series, book, level)
-        else:
-            schedule, stack = schedule_and_stack(schedules, stacks, series.year_label)
-            item = cost_dynamic_cs(series, book, level, schedule, stack)
+        item = annual_cost(scenario.series, book, level, schedules, stacks)
         p = scenario.probability
         energy_below += p * item.energy_below
         excess += p * item.excess

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from capsub import (ActivationSchedule, DomainError, ScenarioMismatch, activation_summary,
-                    derive_activations, read_schedules_csv, write_schedules_csv)
+from capsub import (ActivationSchedule, DomainError, ScenarioMismatch, ScenarioSet,
+                    activation_summary, derive_activations, derive_schedules,
+                    read_schedules_csv, write_schedules_csv)
 
 from conftest import make_series
 
@@ -54,6 +55,37 @@ class TestDeriveActivations:
                 if previous is not None:
                     assert previous <= active
                 previous = active
+
+
+class TestDeriveSchedules:
+    def make_population(self, years_by_consumer, rng):
+        return [
+            ScenarioSet.equiprobable([
+                make_series(rng.uniform(0, 5, 48), consumer_id=f"c{k}", year_label=year)
+                for year in years])
+            for k, years in enumerate(years_by_consumer)
+        ]
+
+    def test_one_schedule_per_year_from_the_aggregate(self):
+        rng = np.random.default_rng(5)
+        population = self.make_population([("2015", "2016")] * 3, rng)
+        schedules = derive_schedules(population, 7.5)
+        assert list(schedules) == ["2015", "2016"]
+        for year, schedule in schedules.items():
+            expected = derive_activations(
+                [c.scenario_for(year).series for c in population], 7.5)
+            assert schedule.year_label == year
+            assert schedule.active_hours.tolist() == expected.active_hours.tolist()
+
+    def test_consumer_missing_a_year_rejected(self):
+        rng = np.random.default_rng(6)
+        population = self.make_population([("2015", "2016"), ("2015",)], rng)
+        with pytest.raises(ScenarioMismatch, match="c1 covers years"):
+            derive_schedules(population, 7.5)
+
+    def test_empty_population_rejected(self):
+        with pytest.raises(ScenarioMismatch):
+            derive_schedules([], 7.5)
 
 
 class TestActivationSummary:

@@ -119,6 +119,26 @@ class TestCalibrate:
         assert "calibration failed" in err
 
 
+def drop_last_consumer_year(loads_csv, year, out):
+    """A copy of ``loads_csv`` in which the last consumer has no rows for ``year``."""
+    lines = loads_csv.read_text().splitlines(keepends=True)
+    last = lines[-1].split(",")[0]
+    out.write_text("".join(line for line in lines if not line.startswith(f"{last},{year}")))
+    return out
+
+
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--regime", "dynamic", "--out"],
+    ["study", "--policy", "stoch", "--out"],
+])
+def test_consumer_missing_a_year_is_input_error(generated_loads, tmp_path, capsys, command):
+    loads = drop_last_consumer_year(generated_loads, "2016", tmp_path / "loads.csv")
+    code, _, err = run_cli(capsys, *command, str(tmp_path / "out"), "--loads", str(loads),
+                           "--threshold-kw", "18.0")
+    assert code == 1
+    assert "covers years" in err
+
+
 class TestStudy:
     def test_singleton_population_end_to_end(self, tmp_path, capsys):
         spec = small_spec_file(tmp_path, consumer_count=1)

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from capsub import (ActivationSchedule, DomainError, HourlyLoadSeries, IllPosed,
                     generate_population, optimize_deterministic, optimize_dynamic,
                     optimize_static, reactive_level, stacks_for_scenarios,
                     static_objective_lines)
+from capsub.optimizer import TIE_RTOL, _argmin_level
 from capsub.tariff_engine import PEAK_MATCH_RTOL
 
 from conftest import make_series, singleton_set
@@ -80,6 +82,33 @@ def grid_dynamic_objective_lines(scenario_set, book, schedules, stacks):
             discomfort = cum_cost[idx - 1] + stack.marginal_costs[idx - 1] * (cuts - cum_width[idx - 1])
             const[start:start + chunk] += probability * (
                 book.energy_price * served.sum(axis=1) + discomfort.sum(axis=1))
+    return levels, const
+
+
+def pooled_static_objective_lines(scenario_set, book):
+    """Independent oracle for the static lines: cumulative sums over all scenarios' loads pooled.
+
+    This is the kernel the optimizer used before both objectives were costed
+    from per-scenario tail energies; inputs are assumed to be valid.
+    """
+    values = np.concatenate([sc.series.loads for sc in scenario_set.scenarios])
+    weights = np.concatenate([
+        np.full(sc.series.hours_count, sc.probability) for sc in scenario_set.scenarios
+    ])
+    order = np.argsort(values, kind="stable")
+    sorted_loads, sorted_weights = values[order], weights[order]
+    cum_w = np.cumsum(sorted_weights)
+    cum_wv = np.cumsum(sorted_weights * sorted_loads)
+
+    levels = np.unique(np.concatenate(([0.0], sorted_loads)))
+    pos = np.searchsorted(sorted_loads, levels, side="right")
+    below_wv = np.where(pos > 0, cum_wv[np.maximum(pos - 1, 0)], 0.0)
+    below_w = np.where(pos > 0, cum_w[np.maximum(pos - 1, 0)], 0.0)
+    energy_below = below_wv + levels * (cum_w[-1] - below_w)
+    energy_above = cum_wv[-1] - energy_below
+    const = (book.fixed_annual
+             + book.energy_price * energy_below
+             + book.excess_price * energy_above)
     return levels, const
 
 
@@ -415,3 +444,62 @@ class TestAllActiveHours:
         best = welfare(level)
         assert best <= welfare(level * (1.0 - 1e-6))
         assert best <= welfare(level * (1.0 + 1e-6))
+
+
+@st.composite
+def static_inputs(draw):
+    """A scenario set of 1-3 years with unequal probabilities; loads repeat and include zeros."""
+    hours = draw(st.integers(1, 48))
+    n_years = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n_years, max_size=n_years))
+    book = TariffBook.static_cs(draw(st.sampled_from([0.0, 135.0])), 67.5, 0.005, 0.10)
+    scenarios = []
+    for k in range(n_years):
+        loads = draw(st.lists(_load_values, min_size=hours, max_size=hours))
+        series = HourlyLoadSeries("c0", str(2013 + k), np.array(loads))
+        scenarios.append(LoadScenario(series, weights[k] / sum(weights)))
+    return ScenarioSet(tuple(scenarios)), book
+
+
+class TestStaticLinesMatchPooledOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(static_inputs(), st.lists(st.floats(0.0, 500.0), min_size=3, max_size=3),
+           st.data())
+    def test_same_levels_constants_and_choice(self, inputs, prices, data):
+        scenario_set, book = inputs
+        levels, const = static_objective_lines(scenario_set, book)
+        pooled_levels, pooled_const = pooled_static_objective_lines(scenario_set, book)
+        np.testing.assert_array_equal(levels, pooled_levels)
+        np.testing.assert_allclose(const, pooled_const, rtol=1e-11, atol=0.0)
+        # a price equal to (excess - energy) x H(x) makes the objective flat
+        # on the piece above x, so both of its ends are optimal
+        pieces = data.draw(st.lists(st.sampled_from(levels.tolist()), min_size=1, max_size=3))
+        spread = book.excess_price - book.energy_price
+        flat = [spread * expected_exceedance_hours(scenario_set, x) for x in pieces]
+        for price in prices + flat:
+            assert _argmin_level(levels, const + price * levels, 0.0) == \
+                _argmin_level(pooled_levels, pooled_const + price * pooled_levels, 0.0)
+
+
+class TestTieRule:
+    def test_flat_piece_returns_its_smaller_end(self, static_book):
+        # 95 EUR/kW = 1000 h x (excess - energy): the cost is flat between the
+        # 1001st and the 1000th largest load. Summation order alone once
+        # decided which end np.argmin returned; on this input it was the upper.
+        book = replace(static_book, capacity_price=95.0)
+        loads = np.round(np.random.default_rng(9).uniform(0.0, 5.0, 1500), 3)
+        ss = singleton_set(make_series(loads))
+        ordered = np.sort(loads)
+        lower, upper = ordered[-1001], ordered[-1000]
+        assert lower < upper
+        at_lower = expected_cost(ss, book, lower).total_monetary
+        at_upper = expected_cost(ss, book, upper).total_monetary
+        assert at_lower == pytest.approx(at_upper, rel=TIE_RTOL)
+
+        assert optimize_static(ss, book).decision.level == lower
+
+    def test_near_ties_resolve_to_the_smallest_level(self):
+        levels = np.array([0.0, 1.0, 2.0, 3.0])
+        objective = np.array([10.0, 5.0 * (1 + 0.5 * TIE_RTOL), 5.0, 5.0 * (1 + 2 * TIE_RTOL)])
+        assert _argmin_level(levels, objective, 0.0) == 1.0
+        assert _argmin_level(levels, objective, 1.5) == 1.5

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from capsub import (ConfigError, ScenarioMismatch, SyntheticPopulationSpec,
+from capsub import (ConfigError, ScenarioMismatch, SyntheticPopulationSpec, TariffRegime,
                     default_tariff_bundle, generate_population, run_study,
                     run_study_from_manifest, build_manifest, write_load_csv,
                     write_study_outputs)
@@ -103,6 +103,23 @@ class TestRunStudy:
             run_study([population[1], odd], bundle, policies=("stoch",),
                       threshold_kw=threshold)
 
+    def test_regimes_by_name_or_member(self, small_study):
+        population, bundle, threshold, _ = small_study
+        by_name = run_study(population[:2], bundle, policies=("stoch",), regimes=("dynamic",),
+                            threshold_kw=threshold, vcl_segments=10)
+        by_member = run_study(population[:2], bundle, policies=("stoch",),
+                              regimes=(TariffRegime.DYNAMIC_CS,),
+                              threshold_kw=threshold, vcl_segments=10)
+        assert by_name.regimes == by_member.regimes == (TariffRegime.DYNAMIC_CS,)
+        assert by_name.consumers == by_member.consumers
+
+    @pytest.mark.parametrize("regime", ["energy", "fancy"])
+    def test_rejects_non_cs_regime(self, small_study, regime):
+        population, bundle, threshold, _ = small_study
+        with pytest.raises(ConfigError, match="unknown capacity-subscription regime"):
+            run_study(population, bundle, policies=("stoch",), regimes=(regime,),
+                      threshold_kw=threshold)
+
     def test_parallel_equals_serial(self, small_study, tmp_path):
         population, bundle, threshold, result = small_study
         parallel = run_study(population, bundle, policies=("det", "stoch", "reactive"),
@@ -135,7 +152,7 @@ class TestOutputsAndManifest:
         out = tmp_path / "out"
         write_study_outputs(result, out)
         per_consumer = sum(
-            _policy_cost_total(c, "static", "stoch", result.years, welfare=False)
+            _policy_cost_total(c, "static", "stoch", result.years)
             for c in result.consumers
         )
         total = 0.0

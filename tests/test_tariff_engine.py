@@ -7,6 +7,7 @@ from capsub import (ActivationSchedule, DomainError, IllPosed, LoadScenario, Sce
                     ScenarioSet, TariffBook, VclSegmentStack, build_segment_stack,
                     VclCurveParams, cost_dynamic_cs, cost_energy_tariff, cost_static_cs,
                     expected_cost)
+from capsub.tariff_engine import annual_cost
 
 from conftest import make_series, singleton_set
 
@@ -169,3 +170,20 @@ class TestExpectedCost:
         ss = singleton_set(make_series([1.0, 2.0]))
         with pytest.raises(ScenarioMismatch):
             expected_cost(ss, dynamic_book, 1.0)
+
+
+class TestAnnualCost:
+    def test_dispatches_on_the_book_regime(self, energy_book, static_book, dynamic_book):
+        rng = np.random.default_rng(8)
+        series = make_series(rng.uniform(0.0, 5.0, 200))
+        schedule = ActivationSchedule("2015", np.flatnonzero(series.loads > 4.0))
+        stack = build_segment_stack(PARAMS, series.peak_kw, 10)
+        schedules, stacks = {"2015": schedule}, {"2015": stack}
+        assert annual_cost(series, energy_book, 0.0) == cost_energy_tariff(series, energy_book)
+        assert annual_cost(series, static_book, 2.5) == cost_static_cs(series, static_book, 2.5)
+        assert annual_cost(series, dynamic_book, 2.5, schedules, stacks) == \
+            cost_dynamic_cs(series, dynamic_book, 2.5, schedule, stack)
+
+    def test_dynamic_requires_schedule_and_stack(self, dynamic_book):
+        with pytest.raises(ScenarioMismatch):
+            annual_cost(make_series([1.0, 2.0]), dynamic_book, 1.0)
