@@ -6,16 +6,31 @@ hour-resolution timestamps (``2015-01-31T17:00``) and plain decimal points.
 Every (consumer, calendar-year) pair must cover the full year; gaps are
 rejected rather than imputed because cost sums and quantile-based optima are
 silently corrupted by imputation.
+
+Files are written and read one (consumer, year) block at a time, in chunks
+of 1,024 rows. The writer builds each year's timestamp strings once per call
+and formats a chunk as one string. The reader takes a block's length from the
+year of its first row, splits each chunk once, and compares its ids and
+timestamps with the expected ones as whole lists. A file it does not recognise in every detail
+is read again by the row parser: a header or field-count mismatch, a quote,
+carriage return or blank line, a missing final newline, a non-canonical
+timestamp, rows out of order or not contiguous per consumer-year, a gap or
+duplicate, or a load that is unparsable, non-finite or negative. The row
+parser accepts such a file if it is valid, and is the only code that raises
+MalformedRow, MissingHours and NegativeLoad, so error types, messages and
+line numbers do not depend on the fast path.
 """
 
 from __future__ import annotations
 
 import calendar
 import csv
+import io
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,7 +40,11 @@ from .data_model import HourlyLoadSeries, ScenarioSet
 from .errors import ConfigError, MalformedRow, MissingHours, NegativeLoad
 
 CSV_HEADER = ["consumer_id", "timestamp", "load_kwh"]
+_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
 TIMESTAMP_FMT = "%Y-%m-%dT%H:%M"
+# Rows handled at once within a (consumer, year) block when writing or parsing;
+# bounds the temporaries to a few hundred kB without slowing either down.
+_CHUNK_HOURS = 1024
 
 
 def hours_in_year(year: int) -> int:
@@ -187,6 +206,23 @@ def generate_population(spec: SyntheticPopulationSpec) -> list[ScenarioSet]:
 # CSV parsing and writing
 # ---------------------------------------------------------------------------
 
+def _hour_stamps(year: int, hours: int) -> list[str]:
+    """Wire timestamps of the first ``hours`` hours from the start of ``year``.
+
+    Years are zero-padded to four digits, as ``strptime``'s ``%Y`` requires.
+    """
+    start = np.datetime64(f"{year:04d}-01-01T00:00", "m")
+    step = np.timedelta64(60, "m")
+    return np.arange(start, start + hours * step, step).astype(str).tolist()
+
+
+def _csv_id(consumer_id: str) -> str:
+    """``consumer_id`` as csv.writer writes it as the first field of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([consumer_id, ""])
+    return buf.getvalue()[:-2]
+
+
 def parse_load_csv(path: str | Path) -> list[HourlyLoadSeries]:
     """Parse and validate a load CSV into full-year series.
 
@@ -195,6 +231,73 @@ def parse_load_csv(path: str | Path) -> list[HourlyLoadSeries]:
     for negative values and MalformedRow (with the line number) for anything
     unparseable.
     """
+    series_list = _parse_blocks(path)
+    return _parse_rows(path) if series_list is None else series_list
+
+
+def _parse_blocks(path: str | Path) -> list[HourlyLoadSeries] | None:
+    """Fast path: parse a well-formed file one (consumer, year) block at a time.
+
+    Returns None at the first anomaly, so that the row parser re-reads the
+    file and either accepts it (blank lines, CRLF, quoting, unordered rows,
+    non-canonical timestamps) or raises its own error.
+    """
+    stamps: dict[int, list[str]] = {}
+    blocks: dict[tuple[str, int], np.ndarray] = {}
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            if fh.readline() != _HEADER_LINE:
+                return None
+            for first in fh:
+                consumer_id, _, rest = first.partition(",")
+                if not (consumer_id and rest[:4].isdecimal()):
+                    return None
+                year = int(rest[:4])
+                if year == 0 or (consumer_id, year) in blocks:
+                    return None
+                if year not in stamps:
+                    stamps[year] = _hour_stamps(year, hours_in_year(year))
+                loads = _read_block(fh, first, consumer_id, stamps[year])
+                if loads is None:
+                    return None
+                blocks[(consumer_id, year)] = loads
+    except UnicodeDecodeError:
+        return None
+    return [HourlyLoadSeries(consumer_id, str(year), loads)
+            for (consumer_id, year), loads in sorted(blocks.items())]
+
+
+def _read_block(fh: Iterable[str], first: str, consumer_id: str,
+                stamps: list[str]) -> np.ndarray | None:
+    """Loads of the block that starts with line ``first``; None unless it is canonical."""
+    limit = csv.field_size_limit()  # csv.reader rejects longer fields; leave that to it
+    if len(consumer_id) > limit:
+        return None
+    lines = itertools.chain((first,), fh)
+    loads = np.empty(len(stamps))
+    for start in range(0, len(stamps), _CHUNK_HOURS):
+        expected = stamps[start:start + _CHUNK_HOURS]
+        count = len(expected)
+        text = "".join(itertools.islice(lines, count))
+        if '"' in text or "\r" in text:
+            return None
+        # a chunk of complete lines ends in "\n", which leaves one empty field at the end
+        fields = text.replace("\n", ",").split(",")
+        if (fields.pop() or len(fields) != 3 * count
+                or fields[0::3] != [consumer_id] * count or fields[1::3] != expected
+                or max(map(len, fields[2::3])) > limit):
+            return None
+        try:
+            loads[start:start + count] = np.array(fields[2::3], dtype=np.float64)
+        except ValueError:
+            return None
+    if np.isfinite(loads).all() and (loads >= 0.0).all():
+        return loads
+    return None
+
+
+def _parse_rows(path: str | Path) -> list[HourlyLoadSeries]:
+    """Row-by-row parser: accepts any valid file and raises every ingest error."""
     groups: dict[tuple[str, int], dict[int, float]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -238,10 +341,10 @@ def parse_load_csv(path: str | Path) -> list[HourlyLoadSeries]:
         expected = hours_in_year(year)
         if len(hours) != expected:
             missing = next(h for h in range(expected) if h not in hours)
-            ts = datetime(year, 1, 1) + timedelta(hours=missing)
+            stamp = _hour_stamps(year, missing + 1)[-1]
             raise MissingHours(
                 f"consumer {consumer_id} year {year}: missing hour "
-                f"{ts.strftime(TIMESTAMP_FMT)} ({len(hours)} of {expected} hours present)")
+                f"{stamp} ({len(hours)} of {expected} hours present)")
         loads = np.empty(expected)
         for hour_index, load in hours.items():
             loads[hour_index] = load
@@ -250,16 +353,25 @@ def parse_load_csv(path: str | Path) -> list[HourlyLoadSeries]:
 
 
 def write_load_csv(series_list: Sequence[HourlyLoadSeries], path: str | Path) -> None:
-    """Write series in the wire format; floats keep full round-trip precision."""
+    """Write series in the wire format; floats keep full round-trip precision.
+
+    Rows are formatted _CHUNK_HOURS at a time into one string. An id that
+    needs quoting is quoted once per series, by csv.writer.
+    """
     ordered = sorted(series_list, key=lambda s: (s.consumer_id, s.year_label))
+    stamps: dict[tuple[int, int], list[str]] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        fh.write(_HEADER_LINE)
         for series in ordered:
-            start = datetime(_parse_year(series.year_label), 1, 1)
-            for hour, load in enumerate(series.loads.tolist()):
-                ts = start + timedelta(hours=hour)
-                writer.writerow([series.consumer_id, ts.strftime(TIMESTAMP_FMT), repr(load)])
+            # a series need not span exactly one year; it is written hour by hour regardless
+            key = (_parse_year(series.year_label), series.hours_count)
+            if key not in stamps:
+                stamps[key] = _hour_stamps(*key)
+            cid = _csv_id(series.consumer_id)
+            for start in range(0, series.hours_count, _CHUNK_HOURS):
+                chunk = slice(start, start + _CHUNK_HOURS)
+                fh.write("".join(f"{cid},{ts},{load!r}\n" for ts, load in
+                                 zip(stamps[key][chunk], series.loads[chunk].tolist())))
 
 
 def scenario_sets_from_series(series_list: Iterable[HourlyLoadSeries]) -> list[ScenarioSet]:

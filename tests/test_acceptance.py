@@ -14,11 +14,11 @@ from capsub import (ActivationSchedule, DEFAULT_THRESHOLD_KW, ScenarioSet, Tarif
                     VclCurveParams, activation_summary, build_segment_stack,
                     calibrate_capacity_price, cost_dynamic_cs, cost_energy_tariff,
                     cost_static_cs, default_study_spec, default_tariff_bundle,
-                    derive_activations, discomfort_cost, dynamic_objective_lines,
-                    energy_reference_revenue, expected_cost, expected_exceedance_hours,
-                    generate_population, optimize_deterministic, optimize_dynamic,
-                    optimize_static, stacks_for_scenarios, static_objective_lines,
-                    vcl_marginal)
+                    derive_activations, derive_schedules, discomfort_cost,
+                    dynamic_objective_lines, energy_reference_revenue, expected_cost,
+                    expected_exceedance_hours, generate_population, optimize_deterministic,
+                    optimize_dynamic, optimize_static, stacks_for_scenarios,
+                    static_objective_lines, vcl_marginal)
 from capsub.cli import main as cli_main
 
 from conftest import make_series, singleton_set
@@ -38,12 +38,7 @@ def population():
 
 @pytest.fixture(scope="module")
 def schedules(population):
-    years = population[0].year_labels
-    return {
-        year: derive_activations(
-            [c.scenario_for(year).series for c in population], DEFAULT_THRESHOLD_KW)
-        for year in years
-    }
+    return derive_schedules(population, DEFAULT_THRESHOLD_KW)
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capsub import (CalibrationFailed, DomainError, SyntheticPopulationSpec, TariffBook,
-                    VclCurveParams, calibrate_capacity_price, derive_activations,
+                    VclCurveParams, calibrate_capacity_price, derive_schedules,
                     energy_reference_revenue, expected_cost, generate_population,
                     optimize_static, stacks_for_scenarios)
 
@@ -82,10 +82,7 @@ class TestStaticVsDynamicOrdering:
             for y in years
         )
         threshold = 0.88 * aggregate_peak
-        schedules = {
-            y: derive_activations([c.scenario_for(y).series for c in population], threshold)
-            for y in years
-        }
+        schedules = derive_schedules(population, threshold)
         assert sum(s.count for s in schedules.values()) > 0
         params = VclCurveParams(dynamic_book.voll, 8.0)
         stacks = [stacks_for_scenarios(c, params, 10) for c in population]

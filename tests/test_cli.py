@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from capsub import SyntheticPopulationSpec, generate_population, parse_load_csv
 from capsub.cli import main
 
 
@@ -61,6 +63,23 @@ class TestGenerate:
                                "--out", str(tmp_path / "o"))
         assert code == 1
         assert "base_load_kw" in err
+
+
+    def test_year_before_1000_round_trips(self, tmp_path, capsys):
+        # timestamps are written zero-padded ("0999-01-01T00:00"), as strptime's %Y needs
+        spec = small_spec_file(tmp_path, consumer_count=1, years=["999"],
+                               cold_year_factor=[1.0])
+        code, _, err = run_cli(capsys, "generate", "--spec", str(spec),
+                               "--out", str(tmp_path / "gen"))
+        assert code == 0, err
+        loads = tmp_path / "gen" / "loads.csv"
+        code, _, err = run_cli(capsys, "calibrate", "--loads", str(loads),
+                               "--regime", "static", "--out", str(tmp_path / "cal.json"))
+        assert code == 0, err
+        [want] = generate_population(SyntheticPopulationSpec.from_json(spec))[0].scenarios
+        [got] = parse_load_csv(loads)
+        assert (got.consumer_id, got.year_label) == (want.series.consumer_id, "999")
+        assert np.array_equal(got.loads, want.series.loads)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,16 @@
+import csv
+import hashlib
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from capsub import (ConfigError, MalformedRow, MissingHours, NegativeLoad,
-                    SyntheticPopulationSpec, generate_population, parse_load_csv,
-                    scenario_sets_from_series, write_load_csv)
+from capsub import (ConfigError, HourlyLoadSeries, MalformedRow, MissingHours, NegativeLoad,
+                    SyntheticPopulationSpec, default_study_spec, generate_population,
+                    ingest, parse_load_csv, scenario_sets_from_series, write_load_csv)
 
 
 def small_spec(**overrides):
@@ -229,3 +236,205 @@ class TestScenarioGrouping:
         assert [g.consumer_id for g in grouped] == sorted(g.consumer_id for g in grouped)
         for g in grouped:
             assert g.year_labels == ("2015", "2016")
+
+
+# ---------------------------------------------------------------------------
+# Block-wise fast path against the row parser
+# ---------------------------------------------------------------------------
+
+def csv_writer_reference(series_list, path):
+    """The row-by-row writer the block-wise one replaced (years >= 1000)."""
+    from datetime import datetime, timedelta
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["consumer_id", "timestamp", "load_kwh"])
+        for series in sorted(series_list, key=lambda s: (s.consumer_id, s.year_label)):
+            start = datetime(int(series.year_label), 1, 1)
+            for hour, load in enumerate(series.loads.tolist()):
+                ts = (start + timedelta(hours=hour)).strftime("%Y-%m-%dT%H:%M")
+                writer.writerow([series.consumer_id, ts, repr(load)])
+
+
+def parse_outcome(parse, path):
+    try:
+        return [(s.consumer_id, s.year_label, s.loads) for s in parse(path)]
+    except Exception as exc:  # the two parsers must fail alike
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert [(c, y) for c, y, _ in got] == [(c, y) for c, y, _ in want]
+    for (_, _, a), (_, _, b) in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+MUTATIONS = ("none", "swap", "drop", "duplicate", "negate", "nan", "inf", "1e400", "1_0",
+             " 2.5", "quote", "crlf", "blank", "no_final_newline", "interleave",
+             "noncanonical", "rename", "repeat_block")
+LOAD_REPLACEMENTS = {"nan", "inf", "1e400", "1_0", " 2.5"}
+
+
+def mutate(lines, mutation, at):
+    """Apply one mutation to the data rows of ``lines`` (header first, no newlines)."""
+    rows = lines[1:]
+    i = at % len(rows)
+    end = "\n"
+    if mutation == "swap":
+        j = (i + 1) % len(rows)
+        rows[i], rows[j] = rows[j], rows[i]
+    elif mutation == "drop":
+        del rows[i]
+    elif mutation == "duplicate":
+        rows.insert(i, rows[i])
+    elif mutation == "negate" or mutation in LOAD_REPLACEMENTS:
+        cid, ts, load = rows[i].split(",")
+        rows[i] = f"{cid},{ts},{'-' + load if mutation == 'negate' else mutation}"
+    elif mutation == "quote":
+        fields = rows[i].split(",")
+        fields[at % 3] = f'"{fields[at % 3]}"'
+        rows[i] = ",".join(fields)
+    elif mutation == "crlf":
+        end = "\r\n"
+    elif mutation == "blank":
+        rows.insert(i, "")
+    elif mutation == "interleave":
+        # alternate the rows of the first block with those of the one after it
+        n = next((k for k, row in enumerate(rows)
+                  if row.split(",")[0] != rows[0].split(",")[0]
+                  or row.split(",")[1][:4] != rows[0].split(",")[1][:4]), len(rows))
+        first, second = rows[:n], rows[n:2 * n]
+        mixed = [row for pair in zip(first, second) for row in pair]
+        rows = mixed + first[len(second):] + rows[n + len(second):]
+    elif mutation == "rename":
+        rows[i] = "x" + rows[i]
+    elif mutation == "repeat_block":
+        first_year = rows[0].split(",")[1][:4]
+        rows += [row for row in rows if row.split(",")[1][:4] == first_year
+                 and row.split(",")[0] == rows[0].split(",")[0]]
+    elif mutation == "noncanonical":
+        cid, ts, load = rows[i].split(",")
+        rows[i] = f"{cid},{ts[:5]}{int(ts[5:7])}{ts[7:]},{load}"
+    text = end.join([lines[0]] + rows)
+    return text if mutation == "no_final_newline" else text + end
+
+
+def population_series(consumers, years, seed, kind="uniform"):
+    rng = np.random.default_rng(seed)
+    series = []
+    for c in range(consumers):
+        for year in years:
+            loads = rng.uniform(0.0, 5.0, ingest.hours_in_year(year))
+            if kind == "rounded":
+                loads = np.round(loads, 3)
+            elif kind == "zeros":
+                loads[rng.random(loads.size) < 0.5] = 0.0
+            elif kind == "integers":
+                loads = np.floor(loads)
+            series.append(HourlyLoadSeries(f"c{c}", str(year), loads))
+    return series
+
+
+def check_against_row_parser(series, mutation, at):
+    """Both parsers agree on the written file after ``mutation``; returns the file's text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "loads.csv"
+        write_load_csv(series, path)
+        if mutation == "none":
+            assert ingest._parse_blocks(path) is not None
+        else:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            path.write_bytes(mutate(lines, mutation, at).encode("utf-8"))
+        want = parse_outcome(ingest._parse_rows, path)
+        assert_same_outcome(parse_outcome(parse_load_csv, path), want)
+        text = path.read_bytes()
+    if mutation == "none":
+        ordered = sorted(series, key=lambda s: (s.consumer_id, int(s.year_label)))
+        assert_same_outcome(want, [(s.consumer_id, s.year_label, s.loads) for s in ordered])
+    return text
+
+
+class TestBlockParser:
+    @pytest.mark.parametrize("mutation", MUTATIONS[1:])
+    def test_each_mutation(self, mutation):
+        # two blocks only where the mutation needs them: the row parser is slow
+        series = population_series(2 if mutation == "interleave" else 1, [2016], seed=1)
+        original = check_against_row_parser(series, "none", at=0)
+        assert check_against_row_parser(series, mutation, at=8790) != original
+
+    @settings(max_examples=25, deadline=None)
+    @given(consumers=st.integers(1, 3),
+           years=st.lists(st.sampled_from([999, 1900, 2000, 2015, 2016]),
+                          min_size=1, max_size=2, unique=True),
+           seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "rounded", "zeros", "integers"]),
+           mutation=st.sampled_from(MUTATIONS),
+           at=st.integers(0, 10 ** 6))
+    def test_matches_row_parser(self, consumers, years, seed, kind, mutation, at):
+        check_against_row_parser(population_series(consumers, years, seed, kind), mutation, at)
+
+    def test_year_zero_left_to_row_parser(self, tmp_path):
+        # numpy formats year 0, strptime rejects it
+        path = tmp_path / "loads.csv"
+        write_rows(path, [f"a,{ts},1.0" for ts in ingest._hour_stamps(0, 8784)])
+        want = parse_outcome(ingest._parse_rows, path)
+        assert want[0] is MalformedRow
+        assert parse_outcome(parse_load_csv, path) == want
+
+    def test_field_beyond_csv_limit_left_to_row_parser(self, tmp_path):
+        path = tmp_path / "loads.csv"
+        write_load_csv(population_series(1, [2015], seed=2), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cid, ts, load = lines[5].split(",")
+        lines[5] = f"{cid},{ts},{'0' * csv.field_size_limit()}{load}"  # a valid float
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want = parse_outcome(ingest._parse_rows, path)
+        assert want[0] is csv.Error
+        assert parse_outcome(parse_load_csv, path) == want
+
+    def test_missing_hour_stamp_is_zero_padded(self, tmp_path):
+        path = tmp_path / "loads.csv"
+        write_load_csv([HourlyLoadSeries("a", "999", np.ones(8760))], path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:6] + lines[7:]), encoding="utf-8")
+        with pytest.raises(MissingHours, match="missing hour 0999-01-01T05:00 "):
+            parse_load_csv(path)
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("consumer_id", ["a,b", 'say "hi"', "a\nb"])
+    def test_quoted_ids_match_csv_writer(self, tmp_path, consumer_id):
+        # the file's other block is plain, so the parse must see through the quoting
+        rng = np.random.default_rng(3)
+        series = [HourlyLoadSeries(consumer_id, "2015", rng.uniform(0.0, 4.0, 8760)),
+                  HourlyLoadSeries("c0", "2016", rng.uniform(0.0, 4.0, 8784))]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_load_csv(series, got)
+        csv_writer_reference(series, want)
+        assert got.read_bytes() == want.read_bytes()
+        parsed = {(s.consumer_id, s.year_label): s.loads for s in parse_load_csv(got)}
+        assert sorted(parsed) == sorted((s.consumer_id, s.year_label) for s in series)
+        for s in series:
+            assert np.array_equal(parsed[(s.consumer_id, s.year_label)], s.loads)
+
+    def test_series_not_spanning_one_year_match_csv_writer(self, tmp_path):
+        # the longer series runs on into the next year's timestamps
+        series = [HourlyLoadSeries("short", "2015", np.arange(30.0)),
+                  HourlyLoadSeries("long", "2015", np.arange(8790.0))]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_load_csv(series, got)
+        csv_writer_reference(series, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_bundled_recipe_bytes_are_pinned(self, tmp_path):
+        # the benchmark's bundled workload at seed 1; digest of the row-by-row writer's output
+        spec = replace(default_study_spec(), rng_seed=1, consumer_count=6,
+                       years=("2015", "2016"), cold_year_factor=(1.25, 0.95))
+        path = tmp_path / "loads.csv"
+        write_load_csv([sc.series for c in generate_population(spec) for sc in c.scenarios],
+                       path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "dc4f7165f6a621f6f576e629e41a1cb0f2db062b9e62c6236e1d3e9ebb85b4d9")
