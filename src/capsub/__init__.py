@@ -15,8 +15,7 @@ from .activation import (ActivationSchedule, ActivationSummaryRow, activation_su
 from .calibration import (CalibrationOutcome, calibrate_capacity_price,
                           energy_reference_revenue)
 from .config import (DEFAULT_TARIFF_CONFIG, DEFAULT_THRESHOLD_KW, TariffBundle,
-                     default_study_spec, default_tariff_bundle, load_tariff_config,
-                     write_tariff_config)
+                     default_study_spec, default_tariff_bundle, load_tariff_config)
 from .data_model import (CostBreakdown, HourlyLoadSeries, LoadScenario, PolicyKind,
                          ScenarioSet, SubscriptionDecision, TariffBook, TariffRegime,
                          full_load_hours, load_factor)
@@ -58,5 +57,5 @@ __all__ = [
     "parse_load_csv", "reactive_level", "read_schedules_csv", "relative_cost_curve",
     "run_study", "run_study_from_manifest", "scenario_sets_from_series",
     "stacks_for_scenarios", "static_objective_lines", "vcl_marginal", "write_load_csv",
-    "write_schedules_csv", "write_study_outputs", "write_tariff_config",
+    "write_schedules_csv", "write_study_outputs",
 ]

@@ -1,4 +1,4 @@
-"""Revenue-neutral capacity price calibration by bisection.
+"""Revenue-neutral capacity price calibration by Newton steps.
 
 The capacity price is varied until the aggregate cost of the population,
 with every consumer re-optimizing its subscription at each trial price,
@@ -8,9 +8,14 @@ and payments plus discomfort (total_welfare) for the dynamic scheme, where
 physical limitation shifts part of the burden into non-monetary welfare loss.
 
 Each consumer's optimized cost is the pointwise minimum of lines
-const_k + price * level_k over its candidate subscription levels, hence
-concave and non-decreasing in the price; the candidate lines are therefore
-precomputed once and the bisection itself is exact re-optimization.
+const_k + price * level_k over its candidate subscription levels, so the
+aggregate A(p) is concave, piecewise-linear and non-decreasing in the price.
+The lines are precomputed once. From p = 0, each step sums the lines the
+optimizer's tie rule picks at p and moves to the price where that sum meets
+the reference R. Every line lies on or above its consumer's envelope at
+every price, so A never exceeds R at the new price: the steps rise
+monotonically and stop on the piece of A that holds R, at the smallest price
+whose aggregate reaches it. A zero slope below R means no price reaches it.
 """
 
 from __future__ import annotations
@@ -19,17 +24,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .activation import ActivationSchedule
 from .data_model import ScenarioSet, TariffBook, TariffRegime
 from .errors import CalibrationFailed, DomainError
-from .optimizer import objective_lines
+from .optimizer import _argmin_index, objective_lines
 from .tariff_engine import expected_cost
 from .vcl import VclSegmentStack
-
-MAX_DOUBLINGS = 16
-MAX_BISECTIONS = 200
 
 
 def energy_reference_revenue(population: Sequence[ScenarioSet], energy_book: TariffBook) -> float:
@@ -60,23 +60,18 @@ def _consumer_lines(population, base_book, schedules, stacks_by_consumer):
             for consumer, stacks in zip(population, stacks_by_consumer, strict=True)]
 
 
-def _aggregate_at(lines, price: float) -> float:
-    return float(sum(np.min(const + price * levels) for levels, const in lines))
-
-
 def calibrate_capacity_price(population: Sequence[ScenarioSet],
                              base_book: TariffBook,
                              reference_revenue: float,
                              tolerance: float,
                              schedules: Mapping[str, ActivationSchedule] | None = None,
                              stacks_by_consumer: Sequence[Mapping[str, VclSegmentStack]] | None = None,
-                             initial_hi: float | None = None) -> CalibrationOutcome:
-    """Find the capacity price at which aggregate optimized cost meets the reference.
+                             ) -> CalibrationOutcome:
+    """Find the smallest capacity price at which aggregate optimized cost meets the reference.
 
-    ``tolerance`` is relative to ``reference_revenue``. For a dynamic book,
-    per-year activation schedules and per-consumer stacks are required.
-    The upper bracket grows geometrically from ``initial_hi`` (default: the
-    base book's capacity price, or 1) and is capped at 2^16 times the start.
+    ``tolerance`` is relative to ``reference_revenue`` and bounds the
+    accepted gap. For a dynamic book, per-year activation schedules and
+    per-consumer stacks are required.
     """
     if base_book.regime is TariffRegime.ENERGY_ONLY:
         raise DomainError("calibration applies to capacity-subscription regimes only")
@@ -91,58 +86,41 @@ def calibrate_capacity_price(population: Sequence[ScenarioSet],
         raise DomainError("population must not be empty")
 
     lines = _consumer_lines(population, base_book, schedules, stacks_by_consumer)
-    abs_tol = tolerance * reference_revenue
     trace: list[tuple[float, float]] = []
 
-    def evaluate(price: float) -> float:
-        aggregate = _aggregate_at(lines, price)
+    def evaluate(price: float) -> tuple[float, float]:
+        """Aggregate cost and slope of the levels the optimizer picks at ``price``."""
+        aggregate = slope = 0.0
+        for levels, const in lines:
+            objective = const + price * levels
+            k = _argmin_index(objective)
+            aggregate += float(objective[k])
+            slope += float(levels[k])
         trace.append((price, aggregate))
-        return aggregate
+        return aggregate, slope
 
-    def outcome(price: float, aggregate: float) -> CalibrationOutcome:
-        book = replace(base_book, capacity_price=price)
-        gap = abs(aggregate - reference_revenue) / reference_revenue
-        return CalibrationOutcome(book, price, aggregate, reference_revenue,
-                                  gap, len(trace), tuple(trace))
-
-    lo, agg_lo = 0.0, evaluate(0.0)
-    if abs(agg_lo - reference_revenue) <= abs_tol:
-        return outcome(lo, agg_lo)
-    if agg_lo > reference_revenue:
+    price = 0.0
+    aggregate, slope = evaluate(price)
+    if aggregate - reference_revenue > tolerance * reference_revenue:
         raise CalibrationFailed(
-            f"aggregate cost at zero capacity price ({agg_lo:.6g}) already exceeds the "
+            f"aggregate cost at zero capacity price ({aggregate:.6g}) already exceeds the "
             f"reference revenue ({reference_revenue:.6g}); prices below zero are not meaningful")
-
-    hi = initial_hi if initial_hi is not None else max(base_book.capacity_price, 1.0)
-    if not (hi > 0.0 and math.isfinite(hi)):
-        raise DomainError(f"initial_hi must be > 0, got {hi}")
-    agg_hi = evaluate(hi)
-    doublings = 0
-    while agg_hi < reference_revenue:
-        if doublings >= MAX_DOUBLINGS:
+    while aggregate < reference_revenue:
+        if slope == 0.0:
             raise CalibrationFailed(
-                f"no capacity price up to {hi:.6g} reaches the reference revenue "
-                f"{reference_revenue:.6g} (best aggregate {agg_hi:.6g}); the population's "
-                "subscription demand saturates below the target")
-        hi *= 2.0
-        agg_hi = evaluate(hi)
-        doublings += 1
-    if abs(agg_hi - reference_revenue) <= abs_tol:
-        return outcome(hi, agg_hi)
+                f"no capacity price reaches the reference revenue {reference_revenue:.6g}: "
+                f"from {price:.6g} on, every consumer subscribes 0 kW and the aggregate "
+                f"stays at {aggregate:.6g}")
+        step = price + (reference_revenue - aggregate) / slope
+        if step <= price:
+            break
+        price = step
+        aggregate, slope = evaluate(price)
 
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        agg_mid = evaluate(mid)
-        if abs(agg_mid - reference_revenue) <= abs_tol:
-            return outcome(mid, agg_mid)
-        if agg_mid < reference_revenue:
-            lo = mid
-        else:
-            hi = mid
-
-    final = 0.5 * (lo + hi)
-    agg_final = _aggregate_at(lines, final)
-    raise CalibrationFailed(
-        f"bisection did not reach relative tolerance {tolerance:g} within "
-        f"{MAX_BISECTIONS} iterations (price {final:.9g}, aggregate {agg_final:.6g}, "
-        f"reference {reference_revenue:.6g}); the aggregate may be flat at the target level")
+    gap = abs(aggregate - reference_revenue) / reference_revenue
+    if gap > tolerance:
+        raise CalibrationFailed(
+            f"price {price:.17g} leaves a relative gap of {gap:.3g} to the reference revenue "
+            f"{reference_revenue:.6g}, above the tolerance {tolerance:g}")
+    return CalibrationOutcome(replace(base_book, capacity_price=price), price, aggregate,
+                              reference_revenue, gap, len(trace), tuple(trace))

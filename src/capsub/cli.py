@@ -97,8 +97,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.tolerance <= 0.0:
-        raise ConfigError(f"tolerance: must be > 0, got {args.tolerance}")
     bundle = load_tariff_config(args.tariff) if args.tariff else default_tariff_bundle()
     population = scenario_sets_from_series(parse_load_csv(args.loads))
     reference = energy_reference_revenue(population, bundle.energy)

@@ -130,10 +130,6 @@ def load_tariff_config(path: str | Path) -> TariffBundle:
     return bundle_from_dict(raw)
 
 
-def write_tariff_config(bundle: TariffBundle, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(bundle_to_dict(bundle), indent=2) + "\n", encoding="utf-8")
-
-
 def default_tariff_bundle() -> TariffBundle:
     return bundle_from_dict(DEFAULT_TARIFF_CONFIG)
 

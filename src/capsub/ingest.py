@@ -32,7 +32,7 @@ import math
 from dataclasses import asdict, dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -217,10 +217,14 @@ def _hour_stamps(year: int, hours: int) -> list[str]:
 
 
 def _csv_id(consumer_id: str) -> str:
-    """``consumer_id`` as csv.writer writes it as the first field of a row."""
+    """``consumer_id`` as csv.writer writes it as the first field of a row.
+
+    csv.writer quotes a field that holds a character of its line terminator;
+    with "\r\n" that covers a lone "\r", which the reader ends a row at.
+    """
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([consumer_id, ""])
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow([consumer_id, ""])
+    return buf.getvalue()[:-3]
 
 
 def parse_load_csv(path: str | Path) -> list[HourlyLoadSeries]:
@@ -296,16 +300,27 @@ def _read_block(fh: Iterable[str], first: str, consumer_id: str,
     return None
 
 
+def _csv_rows(reader) -> Iterator[list[str]]:
+    """The rows of a csv.reader, with a row it rejects raised as a MalformedRow.
+
+    csv.reader rejects, for one, a field longer than ``csv.field_size_limit()``.
+    """
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}") from exc
+
+
 def _parse_rows(path: str | Path) -> list[HourlyLoadSeries]:
     """Row-by-row parser: accepts any valid file and raises every ingest error."""
     groups: dict[tuple[str, int], dict[int, float]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(csv.reader(fh))
+        header = next(rows, None)
         if header != CSV_HEADER:
             raise MalformedRow(
                 f"line 1: expected header {','.join(CSV_HEADER)!r}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(rows, start=2):
             if not row:
                 continue
             if len(row) != 3:

@@ -135,10 +135,18 @@ def objective_lines(scenario_set: ScenarioSet, book: TariffBook,
     raise DomainError("the energy-only tariff has no subscription level to optimize")
 
 
-def _argmin_level(levels: np.ndarray, objective: np.ndarray, min_level: float) -> float:
+def _argmin_index(objective: np.ndarray) -> int:
+    """Index of the smallest level whose objective is within TIE_RTOL of the minimum.
+
+    Levels ascend, so that is the first tied index. The optimizer and the
+    calibration both pick levels by this rule.
+    """
     best = float(objective.min())
-    tied = np.flatnonzero(objective <= best + TIE_RTOL * abs(best))
-    return max(float(levels[tied[0]]), float(min_level))
+    return int(np.flatnonzero(objective <= best + TIE_RTOL * abs(best))[0])
+
+
+def _argmin_level(levels: np.ndarray, objective: np.ndarray, min_level: float) -> float:
+    return max(float(levels[_argmin_index(objective)]), float(min_level))
 
 
 def optimize_expected(scenario_set: ScenarioSet, book: TariffBook,

@@ -216,8 +216,7 @@ def test_criterion_6_revenue_neutral_calibration(population, schedules,
 
     # idempotence: recalibrating at the found price stays put
     again = calibrate_capacity_price(
-        population, static_outcome.book, reference, tolerance,
-        initial_hi=static_outcome.capacity_price)
+        population, static_outcome.book, reference, tolerance)
     assert abs(again.capacity_price - static_outcome.capacity_price) <= \
         tolerance * max(static_outcome.capacity_price, 1.0)
 
@@ -237,6 +236,18 @@ def test_criterion_6_revenue_neutral_calibration(population, schedules,
     report(6, f"calibration gaps < 1e-4; dynamic price "
               f"{dynamic_outcome.capacity_price:.2f} < static "
               f"{static_outcome.capacity_price:.2f} with {total_cut:.0f} kWh cut")
+
+
+def test_criterion_6_calibration_is_exact_in_few_evaluations(population, schedules,
+                                                             stacks_per_consumer):
+    # Newton steps on the concave aggregate land on the reference itself
+    reference = energy_reference_revenue(population, BUNDLE.energy)
+    for book, inputs in ((BUNDLE.static, {}),
+                         (BUNDLE.dynamic, dict(schedules=schedules,
+                                               stacks_by_consumer=stacks_per_consumer))):
+        outcome = calibrate_capacity_price(population, book, reference, 1e-4, **inputs)
+        assert outcome.iterations <= 10, outcome.trace
+        assert outcome.relative_gap <= 1e-12
 
 
 def test_criterion_7_cost_evaluation_exactness():

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -136,6 +137,19 @@ class TestCalibrate:
                                "--out", str(tmp_path / "x.json"))
         assert code == 2
         assert "calibration failed" in err
+
+
+def test_over_long_load_field_is_input_error(tmp_path, capsys):
+    # a valid float, but longer than the csv module's field size limit
+    lines = ["consumer_id,timestamp,load_kwh"]
+    lines += [f"c0,2015-01-01T{h:02d}:00,1.5" for h in range(24)]
+    lines[3] = "c0,2015-01-01T02:00," + "0" * csv.field_size_limit() + "1.5"
+    loads = tmp_path / "loads.csv"
+    loads.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "calibrate", "--loads", str(loads), "--regime", "static",
+                           "--out", str(tmp_path / "x.json"))
+    assert code == 1, err
+    assert "line 4" in err
 
 
 def drop_last_consumer_year(loads_csv, year, out):

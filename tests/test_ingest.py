@@ -392,7 +392,7 @@ class TestBlockParser:
         lines[5] = f"{cid},{ts},{'0' * csv.field_size_limit()}{load}"  # a valid float
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         want = parse_outcome(ingest._parse_rows, path)
-        assert want[0] is csv.Error
+        assert want[0] is MalformedRow
         assert parse_outcome(parse_load_csv, path) == want
 
     def test_missing_hour_stamp_is_zero_padded(self, tmp_path):
@@ -419,6 +419,20 @@ class TestBlockWriter:
         assert sorted(parsed) == sorted((s.consumer_id, s.year_label) for s in series)
         for s in series:
             assert np.array_equal(parsed[(s.consumer_id, s.year_label)], s.loads)
+
+    def test_id_with_lone_carriage_return_round_trips(self, tmp_path):
+        # csv.writer with a "\n" line terminator leaves a lone "\r" unquoted,
+        # and the reader then ends the row inside the id
+        rng = np.random.default_rng(4)
+        series = [HourlyLoadSeries("a\rb", "2015", rng.uniform(0.0, 4.0, 8760)),
+                  HourlyLoadSeries("c0", "2015", rng.uniform(0.0, 4.0, 8760))]
+        path = tmp_path / "loads.csv"
+        write_load_csv(series, path)
+        parsed = parse_load_csv(path)
+        assert [(s.consumer_id, s.year_label) for s in parsed] == [("a\rb", "2015"),
+                                                                  ("c0", "2015")]
+        for got, want in zip(parsed, series):
+            assert np.array_equal(got.loads, want.loads)
 
     def test_series_not_spanning_one_year_match_csv_writer(self, tmp_path):
         # the longer series runs on into the next year's timestamps
