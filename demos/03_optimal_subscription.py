@@ -13,7 +13,7 @@ import numpy as np
 
 from capsub import (SyntheticPopulationSpec, cost_static_cs, default_tariff_bundle,
                     expected_cost, expected_exceedance_hours, generate_population,
-                    optimize_deterministic, optimize_static, reactive_level)
+                    optimize_deterministic, optimize_static)
 
 bundle = default_tariff_bundle()
 book = bundle.static
@@ -51,11 +51,10 @@ for year in years:
 
 print("\nreactive policy (prior-year optimum), applied to the following year:")
 for prev, year in zip(years, years[1:]):
-    decision = reactive_level(consumer.scenario_for(prev).series, book)
     series = consumer.scenario_for(year).series
-    cost = cost_static_cs(series, book, decision.level)
+    cost = cost_static_cs(series, book, det_levels[prev])
     det_cost = cost_static_cs(series, book, det_levels[year])
-    print(f"  {year}: reuse {decision.level:6.3f} kW from {prev} -> "
+    print(f"  {year}: reuse {det_levels[prev]:6.3f} kW from {prev} -> "
           f"{cost.total_monetary:8.2f} EUR (foresight {det_cost.total_monetary:8.2f})")
 
 # the expected-cost curve is convex piecewise-linear in the level

@@ -26,8 +26,7 @@ from .ingest import (SyntheticPopulationSpec, generate_population, parse_load_cs
                      scenario_sets_from_series, write_load_csv)
 from .optimizer import (OptimizationResult, dynamic_objective_lines,
                         expected_exceedance_hours, optimize_deterministic,
-                        optimize_dynamic, optimize_static, reactive_level,
-                        static_objective_lines)
+                        optimize_dynamic, optimize_static, static_objective_lines)
 from .reporting import (BoxplotStats, RevenueRow, aggregate_revenue_table, boxplot_stats,
                         ols_fit, relative_cost_curve)
 from .tariff_engine import (cost_dynamic_cs, cost_energy_tariff, cost_static_cs,
@@ -54,7 +53,7 @@ __all__ = [
     "energy_reference_revenue", "expected_cost", "expected_exceedance_hours",
     "full_load_hours", "generate_population", "load_factor", "load_tariff_config",
     "ols_fit", "optimize_deterministic", "optimize_dynamic", "optimize_static",
-    "parse_load_csv", "reactive_level", "read_schedules_csv", "relative_cost_curve",
+    "parse_load_csv", "read_schedules_csv", "relative_cost_curve",
     "run_study", "run_study_from_manifest", "scenario_sets_from_series",
     "stacks_for_scenarios", "static_objective_lines", "vcl_marginal", "write_load_csv",
     "write_schedules_csv", "write_study_outputs",

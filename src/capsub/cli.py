@@ -16,7 +16,7 @@ from .activation import derive_schedules
 from .calibration import calibrate_capacity_price, energy_reference_revenue
 from .config import (DEFAULT_THRESHOLD_KW, bundle_to_dict, default_study_spec,
                      default_tariff_bundle, load_tariff_config)
-from .data_model import TariffRegime
+from .data_model import PolicyKind, TariffRegime
 from .errors import CalibrationFailed, CapsubError, ConfigError
 from .ingest import (SyntheticPopulationSpec, generate_population, parse_load_csv,
                      scenario_sets_from_series, write_load_csv)
@@ -46,14 +46,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate a synthetic population CSV")
     gen.add_argument("--spec", help="population spec JSON (omit for the bundled default)")
     gen.add_argument("--seed", type=int, help="override the spec's RNG seed")
-    gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--write-default-spec", action="store_true",
-                     help="also write the effective spec JSON next to the CSV")
+    gen.add_argument("--out", required=True, help="writes loads.csv and population_spec.json here")
 
     cal = sub.add_parser("calibrate", help="find the revenue-neutral capacity price")
     cal.add_argument("--loads", required=True, help="population load CSV")
     cal.add_argument("--tariff", help="tariff config JSON (omit for bundled defaults)")
-    cal.add_argument("--regime", required=True, choices=["static", "dynamic"],
+    cal.add_argument("--regime", required=True, choices=[r.value for r in CS_REGIMES],
                      help="which capacity-subscription book to calibrate")
     cal.add_argument("--tolerance", type=float, default=1e-4,
                      help="relative revenue gap to accept (default 1e-4)")
@@ -65,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     stu = sub.add_parser("study", help="run the full multi-year comparison study")
     stu.add_argument("--loads", help="population load CSV")
     stu.add_argument("--tariff", help="tariff config JSON (omit for bundled defaults)")
-    stu.add_argument("--regime", choices=["energy", "static", "dynamic"],
+    stu.add_argument("--regime", choices=[r.value for r in TariffRegime],
                      help="restrict the study to one regime (default: both CS regimes)")
-    stu.add_argument("--policy", action="append", choices=["det", "stoch", "reactive"],
+    stu.add_argument("--policy", action="append", choices=[p.value for p in PolicyKind],
                      help="subscription policy to evaluate (repeatable)")
     stu.add_argument("--threshold-kw", type=float, default=DEFAULT_THRESHOLD_KW)
     stu.add_argument("--vcl-segments", type=int, default=DEFAULT_SEGMENT_COUNT)
@@ -90,8 +88,7 @@ def _cmd_generate(args) -> int:
     series = [sc.series for consumer in population for sc in consumer.scenarios]
     csv_path = out / "loads.csv"
     write_load_csv(series, csv_path)
-    if args.write_default_spec or not args.spec:
-        spec.to_json(out / "population_spec.json")
+    spec.to_json(out / "population_spec.json")
     print(f"wrote {csv_path} ({spec.consumer_count} consumers x {len(spec.years)} years)")
     return EXIT_OK
 
@@ -142,8 +139,7 @@ def _cmd_study(args) -> int:
 
     if not args.loads:
         raise ConfigError("study: --loads is required (or --from-manifest)")
-    policies = args.policy or []
-    if not policies:
+    if not args.policy:
         raise ConfigError("study: at least one --policy is required")
     # both CS regimes by default; "--regime energy" leaves only the baseline
     regimes = CS_REGIMES if args.regime is None else \
@@ -151,11 +147,10 @@ def _cmd_study(args) -> int:
 
     bundle = load_tariff_config(args.tariff) if args.tariff else default_tariff_bundle()
     population = scenario_sets_from_series(parse_load_csv(args.loads))
-    result = run_study(population, bundle, policies=policies, regimes=regimes,
+    result = run_study(population, bundle, policies=args.policy, regimes=regimes,
                        threshold_kw=args.threshold_kw, vcl_segments=args.vcl_segments,
                        jobs=args.jobs)
-    manifest = build_manifest(args.loads, bundle, policies=policies,
-                              regimes=[r.value for r in result.regimes],
+    manifest = build_manifest(args.loads, bundle, policies=result.policies, regimes=result.regimes,
                               threshold_kw=args.threshold_kw,
                               vcl_segments=args.vcl_segments, seed=args.seed)
     written = write_study_outputs(result, args.out, manifest)

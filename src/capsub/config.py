@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .data_model import TariffBook, TariffRegime
 from .errors import ConfigError
-from .ingest import SyntheticPopulationSpec
+from .ingest import SyntheticPopulationSpec, checked_number
 from .vcl import DEFAULT_STEEPNESS
 
 DEFAULT_TARIFF_CONFIG: dict = {
@@ -65,10 +65,7 @@ class TariffBundle:
 def _number(section: str, data: dict, key: str) -> float:
     if key not in data:
         raise ConfigError(f"tariff config: {section}.{key} is missing")
-    value = data[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"tariff config: {section}.{key} must be a number, got {value!r}")
-    return float(value)
+    return checked_number(data[key], f"tariff config: {section}.{key}")
 
 
 def bundle_from_dict(raw: dict) -> TariffBundle:
@@ -92,7 +89,8 @@ def bundle_from_dict(raw: dict) -> TariffBundle:
             _number("dynamic_cs", dynamic_raw, "voll_eur_per_kwh"))
     except ValueError as exc:
         raise ConfigError(f"tariff config: {exc}") from exc
-    steepness = float(dynamic_raw.get("vcl_steepness", DEFAULT_STEEPNESS))
+    steepness = _number("dynamic_cs", dynamic_raw, "vcl_steepness") \
+        if "vcl_steepness" in dynamic_raw else DEFAULT_STEEPNESS
     if steepness <= 0.0:
         raise ConfigError(f"tariff config: dynamic_cs.vcl_steepness must be > 0, got {steepness}")
     return TariffBundle(energy, static, dynamic, steepness)

@@ -34,7 +34,7 @@ class MalformedRow(CapsubError):
 
 
 class CalibrationFailed(CapsubError):
-    """Revenue-neutral price search could not bracket or converge."""
+    """No non-negative capacity price matches the reference revenue within the tolerance."""
 
 
 class ConfigError(CapsubError):

@@ -29,6 +29,8 @@ import io
 import itertools
 import json
 import math
+import numbers
+import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime
 from pathlib import Path
@@ -61,6 +63,16 @@ def _parse_year(label: str) -> int:
     return year
 
 
+def checked_number(value, field: str, integer: bool = False) -> float | int:
+    """``value`` as a finite float, or an int if ``integer``; else ConfigError naming ``field``."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, kind) and not isinstance(value, bool) \
+            and (integer or abs(value) <= sys.float_info.max):  # false for inf, NaN, too-large ints
+        return int(value) if integer else float(value)
+    raise ConfigError(
+        f"{field} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Synthetic population generation
 # ---------------------------------------------------------------------------
@@ -89,8 +101,11 @@ class SyntheticPopulationSpec:
     cold_year_factor: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.consumer_count < 1:
+        if checked_number(self.consumer_count, "consumer_count", integer=True) < 1:
             raise ConfigError(f"consumer_count: must be >= 1, got {self.consumer_count}")
+        for name in ("years", "cold_year_factor"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name}: must be a list, got {getattr(self, name)!r}")
         years = tuple(str(y) for y in self.years)
         if not years:
             raise ConfigError("years: must not be empty")
@@ -99,21 +114,22 @@ class SyntheticPopulationSpec:
         for label in years:
             _parse_year(label)
         object.__setattr__(self, "years", years)
-        factors = tuple(float(f) for f in self.cold_year_factor) or (1.0,) * len(years)
+        factors = tuple(checked_number(f, f"cold_year_factor[{i}]")
+                        for i, f in enumerate(self.cold_year_factor)) or (1.0,) * len(years)
         if len(factors) != len(years):
             raise ConfigError(
                 f"cold_year_factor: {len(factors)} entries for {len(years)} years")
         for f in factors:
-            if not (f >= 0.0 and math.isfinite(f)):
+            if f < 0.0:
                 raise ConfigError(f"cold_year_factor: entries must be >= 0, got {f}")
         object.__setattr__(self, "cold_year_factor", factors)
         for name in ("base_load_kw", "seasonal_amplitude", "daily_amplitude",
                      "spike_rate", "spike_magnitude", "noise_amplitude"):
-            value = float(getattr(self, name))
-            if not (value >= 0.0 and math.isfinite(value)):
+            value = checked_number(getattr(self, name), name)
+            if value < 0.0:
                 raise ConfigError(f"{name}: must be >= 0, got {value}")
             object.__setattr__(self, name, value)
-        if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2 ** 64:
+        if not 0 <= checked_number(self.rng_seed, "rng_seed", integer=True) < 2 ** 64:
             raise ConfigError(f"rng_seed: must be an integer in [0, 2^64), got {self.rng_seed}")
 
     @classmethod
@@ -131,9 +147,6 @@ class SyntheticPopulationSpec:
         missing = {"consumer_count", "years", "rng_seed", "base_load_kw"} - set(raw)
         if missing:
             raise ConfigError(f"population spec: missing fields {sorted(missing)}")
-        for name in ("years", "cold_year_factor"):
-            if name in raw and isinstance(raw[name], list):
-                raw[name] = tuple(raw[name])
         return cls(**raw)
 
     def to_json(self, path: str | Path) -> None:

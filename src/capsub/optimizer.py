@@ -145,56 +145,39 @@ def _argmin_index(objective: np.ndarray) -> int:
     return int(np.flatnonzero(objective <= best + TIE_RTOL * abs(best))[0])
 
 
-def _argmin_level(levels: np.ndarray, objective: np.ndarray, min_level: float) -> float:
-    return max(float(levels[_argmin_index(objective)]), float(min_level))
-
-
 def optimize_expected(scenario_set: ScenarioSet, book: TariffBook,
                       schedules: Mapping[str, ActivationSchedule] | None = None,
-                      stacks: Mapping[str, VclSegmentStack] | None = None,
-                      min_level: float = 0.0) -> OptimizationResult:
+                      stacks: Mapping[str, VclSegmentStack] | None = None) -> OptimizationResult:
     """Exact minimizer of the expected cost (static) or welfare (dynamic) of the book."""
     levels, const = objective_lines(scenario_set, book, schedules, stacks)
-    level = _argmin_level(levels, const + book.capacity_price * levels, min_level)
+    level = float(levels[_argmin_index(const + book.capacity_price * levels)])
     decision = SubscriptionDecision(level, PolicyKind.STOCHASTIC)
     breakdown = expected_cost(scenario_set, book, level, schedules, stacks)
     return OptimizationResult(decision, breakdown, int(levels.size))
 
 
-def optimize_static(scenario_set: ScenarioSet, book: TariffBook,
-                    min_level: float = 0.0) -> OptimizationResult:
+def optimize_static(scenario_set: ScenarioSet, book: TariffBook) -> OptimizationResult:
     """Exact expected-cost minimizer for the static CS tariff."""
     require_regime(book, TariffRegime.STATIC_CS)
-    return optimize_expected(scenario_set, book, min_level=min_level)
+    return optimize_expected(scenario_set, book)
 
 
 def optimize_dynamic(scenario_set: ScenarioSet, book: TariffBook,
                      schedules: Mapping[str, ActivationSchedule],
-                     stacks: Mapping[str, VclSegmentStack],
-                     min_level: float = 0.0) -> OptimizationResult:
+                     stacks: Mapping[str, VclSegmentStack]) -> OptimizationResult:
     """Exact expected-welfare (monetary + discomfort) minimizer for dynamic CS."""
     require_regime(book, TariffRegime.DYNAMIC_CS)
-    return optimize_expected(scenario_set, book, schedules, stacks, min_level)
+    return optimize_expected(scenario_set, book, schedules, stacks)
 
 
 def optimize_deterministic(series: HourlyLoadSeries, book: TariffBook,
                            schedule: ActivationSchedule | None = None,
-                           stack: VclSegmentStack | None = None,
-                           min_level: float = 0.0) -> OptimizationResult:
+                           stack: VclSegmentStack | None = None) -> OptimizationResult:
     """Perfect-foresight optimum for a single year (probability-1 scenario)."""
     year = series.year_label
     result = optimize_expected(ScenarioSet((LoadScenario(series, 1.0),)), book,
                                None if schedule is None else {year: schedule},
-                               None if stack is None else {year: stack}, min_level)
+                               None if stack is None else {year: stack})
     decision = replace(result.decision, policy=PolicyKind.DETERMINISTIC, source_year_label=year)
     return OptimizationResult(decision, result.expected_breakdown, result.candidate_count)
 
-
-def reactive_level(previous_year: HourlyLoadSeries, book: TariffBook,
-                   schedule: ActivationSchedule | None = None,
-                   stack: VclSegmentStack | None = None,
-                   min_level: float = 0.0) -> SubscriptionDecision:
-    """Previous year's perfect-foresight optimum, to be applied to the next year."""
-    result = optimize_deterministic(previous_year, book, schedule, stack, min_level)
-    return SubscriptionDecision(result.decision.level, PolicyKind.REACTIVE,
-                                source_year_label=previous_year.year_label)

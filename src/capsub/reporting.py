@@ -18,10 +18,8 @@ from .data_model import CostBreakdown
 from .errors import DomainError
 
 # Whisker convention: mean +/- 1.5 * sample standard deviation, clamped to the
-# data range (not the 1.5*IQR convention); stated in every emitted file header.
+# data range (not the 1.5*IQR convention).
 WHISKER_STDDEV_FACTOR = 1.5
-WHISKER_NOTE = ("whiskers at mean +/- 1.5 * sample stddev, clamped to data range; "
-                "quartiles by linear interpolation")
 
 
 def _fmt(value: float) -> str:
@@ -117,7 +115,7 @@ def _open_writer(path: Path, comment_lines: Sequence[str] = ()):
 def write_fullloadhours_csv(rows: Iterable[tuple[str, str, float, float]],
                             path: str | Path) -> None:
     """Rows of (consumer_id, year_label, full_load_hours, load_factor)."""
-    fh, writer = _open_writer(Path(path), [WHISKER_NOTE])
+    fh, writer = _open_writer(Path(path))
     with fh:
         writer.writerow(["consumer_id", "year_label", "full_load_hours", "load_factor"])
         for consumer_id, year, flh, lf in rows:

@@ -23,9 +23,10 @@ from typing import Sequence
 from . import __version__
 from .activation import ActivationSchedule, derive_schedules, write_schedules_csv
 from .config import TariffBundle, bundle_from_dict, bundle_to_dict
-from .data_model import CostBreakdown, ScenarioSet, TariffRegime, full_load_hours, load_factor
+from .data_model import (CostBreakdown, PolicyKind, ScenarioSet, TariffRegime, full_load_hours,
+                         load_factor)
 from .errors import ConfigError, DomainError
-from .ingest import parse_load_csv, scenario_sets_from_series
+from .ingest import checked_number, parse_load_csv, scenario_sets_from_series
 from .optimizer import optimize_deterministic, optimize_expected
 from .reporting import (aggregate_revenue_table, write_aggregate_revenue_csv,
                         write_annual_costs_csv, write_fullloadhours_csv,
@@ -37,7 +38,6 @@ from .vcl import DEFAULT_SEGMENT_COUNT, VclCurveParams, stacks_for_scenarios
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "study.json"
 
-POLICY_NAMES = ("det", "stoch", "reactive")
 CS_REGIMES = (TariffRegime.STATIC_CS, TariffRegime.DYNAMIC_CS)
 BASELINE_POLICY = "baseline"
 
@@ -61,7 +61,7 @@ class StudyResult:
     consumers: tuple[ConsumerStudy, ...]
     schedules: dict[str, ActivationSchedule]
     bundle: TariffBundle
-    policies: tuple[str, ...]
+    policies: tuple[PolicyKind, ...]
     regimes: tuple[TariffRegime, ...]
     threshold_kw: float
     vcl_segments: int
@@ -72,7 +72,8 @@ class StudyResult:
 
 
 def _consumer_worker(args: tuple) -> ConsumerStudy:
-    (scenario_set, bundle, schedules, policies, regimes, vcl_segments, min_level) = args
+    (scenario_set, bundle, schedules, policies, regimes, vcl_segments) = args
+    det, stoch, reactive = PolicyKind.DETERMINISTIC, PolicyKind.STOCHASTIC, PolicyKind.REACTIVE
     years = scenario_set.year_labels
     series = {sc.series.year_label: sc.series for sc in scenario_set.scenarios}
     flh = {year: full_load_hours(series[year]) for year in years}
@@ -92,71 +93,68 @@ def _consumer_worker(args: tuple) -> ConsumerStudy:
         name = regime.value
 
         det_by_year = {}
-        if "det" in policies or "reactive" in policies:
+        if det in policies or reactive in policies:
             det_by_year = {
-                year: optimize_deterministic(series[year], book, schedules[year],
-                                             stacks.get(year), min_level=min_level)
+                year: optimize_deterministic(series[year], book, schedules[year], stacks.get(year))
                 for year in years
             }
 
-        if "det" in policies:
-            levels[(name, "det")] = tuple(
+        if det in policies:
+            levels[(name, det.value)] = tuple(
                 (year, det_by_year[year].decision.level) for year in years)
             for year in years:
-                breakdowns[(name, "det", year)] = det_by_year[year].expected_breakdown
+                breakdowns[(name, det.value, year)] = det_by_year[year].expected_breakdown
 
-        if "stoch" in policies:
-            level = optimize_expected(scenario_set, book, schedules, stacks,
-                                      min_level=min_level).decision.level
-            levels[(name, "stoch")] = (("", level),)
+        if stoch in policies:
+            level = optimize_expected(scenario_set, book, schedules, stacks).decision.level
+            levels[(name, stoch.value)] = (("", level),)
             for year in years:
-                breakdowns[(name, "stoch", year)] = annual_cost(
+                breakdowns[(name, stoch.value, year)] = annual_cost(
                     series[year], book, level, schedules, stacks)
 
-        if "reactive" in policies:
-            reactive_rows = []
-            for prev, year in zip(years, years[1:]):
-                level = det_by_year[prev].decision.level
-                reactive_rows.append((year, level))
-                breakdowns[(name, "reactive", year)] = annual_cost(
+        if reactive in policies:
+            # the previous year's perfect-foresight level, applied to the next year
+            rows = levels[(name, reactive.value)] = tuple(
+                (year, det_by_year[prev].decision.level) for prev, year in zip(years, years[1:]))
+            for year, level in rows:
+                breakdowns[(name, reactive.value, year)] = annual_cost(
                     series[year], book, level, schedules, stacks)
-            levels[(name, "reactive")] = tuple(reactive_rows)
 
     return ConsumerStudy(scenario_set.consumer_id, years, flh, lf, levels, breakdowns)
 
 
-def _cs_regime(name: str | TariffRegime) -> TariffRegime:
-    for regime in CS_REGIMES:
-        if name in (regime, regime.value):
-            return regime
-    raise ConfigError(f"regimes: unknown capacity-subscription regime {name!r}")
+def _member(allowed, name, unknown: str):
+    for member in allowed:
+        if name in (member, member.value):
+            return member
+    raise ConfigError(f"{unknown} {name!r}")
 
 
 def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
-              policies: Sequence[str], regimes: Sequence[str | TariffRegime] = CS_REGIMES,
+              policies: Sequence[str | PolicyKind],
+              regimes: Sequence[str | TariffRegime] = CS_REGIMES,
               threshold_kw: float, vcl_segments: int = DEFAULT_SEGMENT_COUNT,
-              jobs: int = 1, min_level: float = 0.0) -> StudyResult:
+              jobs: int = 1) -> StudyResult:
     """Run the full comparison study; deterministic for given inputs.
 
-    ``regimes`` names capacity-subscription regimes ("static", "dynamic") as
-    the manifest records them, or gives them as TariffRegime members.
+    ``policies`` and ``regimes`` (capacity-subscription only) are named as the
+    manifest records them, or given as PolicyKind and TariffRegime members.
     """
     if not population:
         raise DomainError("population must not be empty")
-    policies = tuple(dict.fromkeys(policies))
+    policies = tuple(dict.fromkeys(_member(PolicyKind, p, "policies: unknown policy")
+                                   for p in policies))
     if not policies:
-        raise ConfigError("policies: at least one of det/stoch/reactive is required")
-    for policy in policies:
-        if policy not in POLICY_NAMES:
-            raise ConfigError(f"policies: unknown policy {policy!r}")
-    regimes = tuple(dict.fromkeys(_cs_regime(regime) for regime in regimes))
+        raise ConfigError(f"policies: at least one of {[p.value for p in PolicyKind]} is required")
+    regimes = tuple(dict.fromkeys(
+        _member(CS_REGIMES, r, "regimes: unknown capacity-subscription regime") for r in regimes))
     if vcl_segments < 1:
         raise ConfigError(f"vcl_segments: must be >= 1, got {vcl_segments}")
 
     schedules = derive_schedules(population, threshold_kw)
 
     ordered = sorted(population, key=lambda s: s.consumer_id)
-    work = [(consumer, bundle, schedules, policies, regimes, vcl_segments, min_level)
+    work = [(consumer, bundle, schedules, policies, regimes, vcl_segments)
             for consumer in ordered]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -181,9 +179,10 @@ def _sha256(path: Path) -> str:
 
 
 def build_manifest(loads_csv: str | Path, bundle: TariffBundle, *,
-                   policies: Sequence[str], regimes: Sequence[str],
+                   policies: Sequence[str | PolicyKind],
+                   regimes: Sequence[str | TariffRegime],
                    threshold_kw: float, vcl_segments: int,
-                   min_level: float = 0.0, seed: int | None = None) -> dict:
+                   seed: int | None = None) -> dict:
     loads_path = Path(loads_csv)
     return {
         "manifest_version": MANIFEST_VERSION,
@@ -194,11 +193,10 @@ def build_manifest(loads_csv: str | Path, bundle: TariffBundle, *,
         },
         "tariff": bundle_to_dict(bundle),
         "params": {
-            "policies": list(policies),
-            "regimes": list(regimes),
+            "policies": [PolicyKind(p).value for p in policies],
+            "regimes": [TariffRegime(r).value for r in regimes],
             "threshold_kw": threshold_kw,
             "vcl_segments": vcl_segments,
-            "min_level": min_level,
             "seed": seed,
         },
     }
@@ -217,11 +215,14 @@ def run_study_from_manifest(manifest_path: str | Path, jobs: int = 1) -> tuple[S
         params = manifest["params"]
         policies = params["policies"]
         regimes = params["regimes"]
-        threshold_kw = params["threshold_kw"]
-        vcl_segments = params["vcl_segments"]
-        min_level = params.get("min_level", 0.0)
+        threshold_kw = checked_number(params["threshold_kw"], "manifest threshold_kw")
+        vcl_segments = checked_number(params["vcl_segments"], "manifest vcl_segments", integer=True)
     except KeyError as exc:
         raise ConfigError(f"manifest {manifest_path}: missing field {exc}") from exc
+    # older manifests record a subscription floor, which is gone; all of them hold 0.0
+    if params.get("min_level", 0.0) != 0.0:
+        raise ConfigError(f"manifest {manifest_path}: min_level must be 0.0, got "
+                          f"{params['min_level']!r}")
     if not loads_csv.exists():
         raise ConfigError(f"manifest input {loads_csv} does not exist")
     actual_hash = _sha256(loads_csv)
@@ -230,8 +231,7 @@ def run_study_from_manifest(manifest_path: str | Path, jobs: int = 1) -> tuple[S
             f"manifest input {loads_csv} changed: sha256 {actual_hash} != recorded {recorded_hash}")
     population = scenario_sets_from_series(parse_load_csv(loads_csv))
     result = run_study(population, bundle, policies=policies, regimes=regimes,
-                       threshold_kw=threshold_kw, vcl_segments=vcl_segments,
-                       jobs=jobs, min_level=min_level)
+                       threshold_kw=threshold_kw, vcl_segments=vcl_segments, jobs=jobs)
     return result, manifest
 
 
@@ -293,9 +293,10 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path,
         _policy_cost_total(c, "energy", BASELINE_POLICY, years) for c in consumers
     ]
 
+    stoch, reactive = PolicyKind.STOCHASTIC, PolicyKind.REACTIVE
     for regime in (r.value for r in result.regimes):
-        if "stoch" in result.policies:
-            stoch_totals = [_policy_cost_total(c, regime, "stoch", years) for c in consumers]
+        if stoch in result.policies:
+            stoch_totals = [_policy_cost_total(c, regime, stoch.value, years) for c in consumers]
             write_relative_cost_csv(
                 consumer_ids, stoch_totals, energy_totals,
                 record(f"relative_cost_{regime}_stoch_vs_energy.csv"),
@@ -306,13 +307,13 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path,
                 consumer_ids, mean_lf, ratios,
                 record(f"loadfactor_scatter_{regime}.csv"),
                 f"{regime} CS stochastic-level cost / energy tariff cost")
-        if "reactive" in result.policies and "stoch" in result.policies and len(years) > 1:
+        if reactive in result.policies and stoch in result.policies and len(years) > 1:
             reactive_years = years[1:]
             reactive_totals = [
-                _policy_cost_total(c, regime, "reactive", reactive_years) for c in consumers
+                _policy_cost_total(c, regime, reactive.value, reactive_years) for c in consumers
             ]
             stoch_same_years = [
-                _policy_cost_total(c, regime, "stoch", reactive_years) for c in consumers
+                _policy_cost_total(c, regime, stoch.value, reactive_years) for c in consumers
             ]
             write_relative_cost_csv(
                 consumer_ids, reactive_totals, stoch_same_years,

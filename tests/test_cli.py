@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from capsub import SyntheticPopulationSpec, generate_population, parse_load_csv
+from capsub import (DEFAULT_TARIFF_CONFIG, SyntheticPopulationSpec, generate_population,
+                    parse_load_csv)
 from capsub.cli import main
 
 
@@ -56,6 +57,35 @@ class TestGenerate:
         a = (tmp_path / "a" / "loads.csv").read_bytes()
         b = (tmp_path / "b" / "loads.csv").read_bytes()
         assert a != b
+
+    def test_effective_spec_records_the_seed(self, tmp_path, capsys):
+        spec = small_spec_file(tmp_path)
+        code, _, err = run_cli(capsys, "generate", "--spec", str(spec), "--seed", "8",
+                               "--out", str(tmp_path / "a"))
+        assert code == 0, err
+        written = tmp_path / "a" / "population_spec.json"
+        assert json.loads(written.read_text())["rng_seed"] == 8
+        code, _, err = run_cli(capsys, "generate", "--spec", str(written),
+                               "--out", str(tmp_path / "b"))
+        assert code == 0, err
+        assert (tmp_path / "a" / "loads.csv").read_bytes() == \
+            (tmp_path / "b" / "loads.csv").read_bytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_load_kw", "abc"),
+        ("consumer_count", "3"),
+        ("consumer_count", 2.5),
+        ("rng_seed", True),
+        ("spike_rate", None),
+        ("cold_year_factor", ["x", 1.0]),
+        ("cold_year_factor", 1.0),
+    ])
+    def test_bad_number_is_input_error(self, tmp_path, capsys, field, value):
+        spec = small_spec_file(tmp_path, **{field: value})
+        code, _, err = run_cli(capsys, "generate", "--spec", str(spec),
+                               "--out", str(tmp_path / "o"))
+        assert code == 1, err
+        assert field in err and "must be" in err
 
     def test_missing_field_named(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -152,6 +182,23 @@ def test_over_long_load_field_is_input_error(tmp_path, capsys):
     assert "line 4" in err
 
 
+@pytest.mark.parametrize("steepness", [float("nan"), float("inf"), "abc", [1], True])
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--regime", "static", "--out"],
+    ["study", "--policy", "stoch", "--out"],
+])
+def test_bad_vcl_steepness_is_input_error(generated_loads, tmp_path, capsys, command,
+                                          steepness):
+    config = json.loads(json.dumps(DEFAULT_TARIFF_CONFIG))
+    config["dynamic_cs"]["vcl_steepness"] = steepness
+    tariff = tmp_path / "tariff.json"
+    tariff.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, *command, str(tmp_path / "out"), "--loads",
+                           str(generated_loads), "--tariff", str(tariff))
+    assert code == 1, err
+    assert "dynamic_cs.vcl_steepness" in err
+
+
 def drop_last_consumer_year(loads_csv, year, out):
     """A copy of ``loads_csv`` in which the last consumer has no rows for ``year``."""
     lines = loads_csv.read_text().splitlines(keepends=True)
@@ -218,3 +265,4 @@ class TestStudy:
                              "--policy", "stoch", "--regime", "fancy",
                              "--out", str(tmp_path / "s"))
         assert code == 1
+

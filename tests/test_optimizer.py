@@ -10,9 +10,8 @@ from capsub import (ActivationSchedule, DomainError, HourlyLoadSeries, IllPosed,
                     TariffBook, VclCurveParams, build_segment_stack, derive_activations,
                     dynamic_objective_lines, expected_cost, expected_exceedance_hours,
                     generate_population, optimize_deterministic, optimize_dynamic,
-                    optimize_static, reactive_level, stacks_for_scenarios,
-                    static_objective_lines)
-from capsub.optimizer import TIE_RTOL, _argmin_level
+                    optimize_static, stacks_for_scenarios, static_objective_lines)
+from capsub.optimizer import TIE_RTOL, _argmin_index
 from capsub.tariff_engine import PEAK_MATCH_RTOL
 
 from conftest import make_series, singleton_set
@@ -181,11 +180,6 @@ class TestOptimizeStatic:
         with pytest.raises(IllPosed):
             static_objective_lines(singleton_set(make_series([1.0, 2.0])), broken)
 
-    def test_min_level_clamps(self, static_book):
-        ss = singleton_set(make_series([1.0] * 100))
-        result = optimize_static(ss, static_book, min_level=3.0)
-        assert result.decision.level == 3.0
-
     def test_argmin_invariant_under_tradeoff_scaling(self):
         # scaling capacity price and (excess - energy) by the same power of two
         # leaves the optimal level unchanged
@@ -320,13 +314,14 @@ class TestPolicies:
             assert det.expected_breakdown.total_monetary <= \
                 at_stochastic.total_monetary * (1.0 + 1e-12)
 
+    # the reactive policy applies the previous year's deterministic optimum
     def test_reactive_on_identical_years_matches_deterministic(self, static_book):
         rng = np.random.default_rng(59)
         loads = rng.uniform(0, 5, 300)
         year1 = make_series(loads, year_label="2015")
         year2 = make_series(loads, year_label="2016")
-        decision = reactive_level(year1, static_book)
-        assert decision.policy is PolicyKind.REACTIVE
+        decision = optimize_deterministic(year1, static_book).decision
+        assert decision.policy is PolicyKind.DETERMINISTIC
         assert decision.source_year_label == "2015"
         det2 = optimize_deterministic(year2, static_book)
         cost_reactive = expected_cost(singleton_set(year2), static_book, decision.level)
@@ -336,7 +331,7 @@ class TestPolicies:
     def test_reactive_level_is_a_previous_year_breakpoint(self, static_book):
         rng = np.random.default_rng(61)
         loads = rng.uniform(0, 5, 200)
-        decision = reactive_level(make_series(loads), static_book)
+        decision = optimize_deterministic(make_series(loads), static_book).decision
         assert decision.level == 0.0 or decision.level in loads
 
     def test_reactive_dynamic_zero_then_painful(self, dynamic_book):
@@ -352,7 +347,7 @@ class TestPolicies:
         calm_stack = build_segment_stack(PARAMS, calm.peak_kw, 10)
         stormy_stack = build_segment_stack(PARAMS, stormy.peak_kw, 10)
 
-        decision = reactive_level(calm, dynamic_book, calm_schedule, calm_stack)
+        decision = optimize_deterministic(calm, dynamic_book, calm_schedule, calm_stack).decision
         assert decision.level == 0.0
         reactive_cost = expected_cost(singleton_set(stormy), dynamic_book, decision.level,
                                       {"2016": stormy_schedule}, {"2016": stormy_stack})
@@ -477,8 +472,8 @@ class TestStaticLinesMatchPooledOracle:
         spread = book.excess_price - book.energy_price
         flat = [spread * expected_exceedance_hours(scenario_set, x) for x in pieces]
         for price in prices + flat:
-            assert _argmin_level(levels, const + price * levels, 0.0) == \
-                _argmin_level(pooled_levels, pooled_const + price * pooled_levels, 0.0)
+            assert levels[_argmin_index(const + price * levels)] == \
+                pooled_levels[_argmin_index(pooled_const + price * pooled_levels)]
 
 
 class TestTieRule:
@@ -501,5 +496,4 @@ class TestTieRule:
     def test_near_ties_resolve_to_the_smallest_level(self):
         levels = np.array([0.0, 1.0, 2.0, 3.0])
         objective = np.array([10.0, 5.0 * (1 + 0.5 * TIE_RTOL), 5.0, 5.0 * (1 + 2 * TIE_RTOL)])
-        assert _argmin_level(levels, objective, 0.0) == 1.0
-        assert _argmin_level(levels, objective, 1.5) == 1.5
+        assert levels[_argmin_index(objective)] == 1.0

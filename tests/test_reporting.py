@@ -107,12 +107,12 @@ class TestAggregateRevenueTable:
 
 
 class TestWriters:
-    def test_fullloadhours_header_notes_whisker_convention(self, tmp_path):
+    def test_fullloadhours_starts_with_column_header(self, tmp_path):
+        # the file holds no box-plot statistics, so it carries no whisker note
         path = tmp_path / "flh.csv"
         write_fullloadhours_csv([("c0", "2015", 2300.0, 0.26)], path)
-        text = path.read_text()
-        assert text.startswith("# whiskers at mean +/- 1.5 * sample stddev")
-        assert "c0,2015,2300.0,0.26" in text
+        assert path.read_text() == \
+            "consumer_id,year_label,full_load_hours,load_factor\nc0,2015,2300.0,0.26\n"
 
     def test_relative_cost_csv_deterministic(self, tmp_path):
         ids = ["a", "b", "c"]

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from capsub import (ConfigError, ScenarioMismatch, SyntheticPopulationSpec, TariffRegime,
+from capsub import (ConfigError, PolicyKind, ScenarioMismatch, SyntheticPopulationSpec,
+                    TariffRegime,
                     default_tariff_bundle, generate_population, run_study,
                     run_study_from_manifest, build_manifest, write_load_csv,
                     write_study_outputs)
@@ -113,6 +114,18 @@ class TestRunStudy:
         assert by_name.regimes == by_member.regimes == (TariffRegime.DYNAMIC_CS,)
         assert by_name.consumers == by_member.consumers
 
+    def test_policies_by_name_or_member(self, small_study):
+        population, bundle, threshold, _ = small_study
+        by_name = run_study(population[:2], bundle, policies=("reactive", "det", "reactive"),
+                            regimes=("static",), threshold_kw=threshold)
+        by_member = run_study(population[:2], bundle,
+                              policies=(PolicyKind.REACTIVE, PolicyKind.DETERMINISTIC),
+                              regimes=("static",), threshold_kw=threshold)
+        assert by_name.policies == by_member.policies == \
+            (PolicyKind.REACTIVE, PolicyKind.DETERMINISTIC)
+        assert by_name.consumers == by_member.consumers
+        assert set(by_name.consumers[0].levels) == {("static", "det"), ("static", "reactive")}
+
     @pytest.mark.parametrize("regime", ["energy", "fancy"])
     def test_rejects_non_cs_regime(self, small_study, regime):
         population, bundle, threshold, _ = small_study
@@ -197,3 +210,48 @@ class TestOutputsAndManifest:
         loads_csv.write_text(loads_csv.read_text() + "\n")
         with pytest.raises(ConfigError, match="sha256"):
             run_study_from_manifest(manifest_path)
+
+    def test_manifest_records_names(self, small_study, tmp_path):
+        population, bundle, threshold, _ = small_study
+        loads_csv = tmp_path / "loads.csv"
+        write_load_csv([sc.series for sc in population[0].scenarios], loads_csv)
+        manifest = build_manifest(loads_csv, bundle, policies=(PolicyKind.STOCHASTIC, "det"),
+                                  regimes=(TariffRegime.STATIC_CS, "dynamic"),
+                                  threshold_kw=threshold, vcl_segments=10)
+        assert manifest["params"]["policies"] == ["stoch", "det"]
+        assert manifest["params"]["regimes"] == ["static", "dynamic"]
+        json.dumps(manifest)
+
+    @pytest.mark.parametrize("field, value", [("threshold_kw", "abc"), ("vcl_segments", "10"),
+                                              ("vcl_segments", 2.5)])
+    def test_manifest_bad_number_is_config_error(self, small_study, tmp_path, field, value):
+        population, bundle, threshold, _ = small_study
+        loads_csv = tmp_path / "loads.csv"
+        write_load_csv([sc.series for sc in population[0].scenarios], loads_csv)
+        manifest = build_manifest(loads_csv, bundle, policies=("stoch",), regimes=("static",),
+                                  threshold_kw=threshold, vcl_segments=10)
+        manifest["params"][field] = value
+        manifest_path = tmp_path / "study.json"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=field):
+            run_study_from_manifest(manifest_path)
+
+    @pytest.mark.parametrize("min_level", [0.0, 3.0])
+    def test_manifest_min_level_only_zero_reruns(self, small_study, tmp_path, min_level):
+        # manifests written before the subscription floor was removed all record 0.0
+        population, bundle, threshold, _ = small_study
+        series = [sc.series for c in population[:2] for sc in c.scenarios]
+        loads_csv = tmp_path / "loads.csv"
+        write_load_csv(series, loads_csv)
+        manifest = build_manifest(loads_csv, bundle, policies=("stoch",),
+                                  regimes=("static",), threshold_kw=threshold,
+                                  vcl_segments=10)
+        manifest["params"]["min_level"] = min_level
+        manifest_path = tmp_path / "study.json"
+        manifest_path.write_text(json.dumps(manifest))
+        if min_level == 0.0:
+            result, _ = run_study_from_manifest(manifest_path)
+            assert len(result.consumers) == 2
+        else:
+            with pytest.raises(ConfigError, match="min_level"):
+                run_study_from_manifest(manifest_path)
