@@ -46,7 +46,7 @@ for level in (1.0, 2.0, 3.0, 4.0, series.peak_kw):
 
 # dynamic CS: limitation only binds in the declared scarcity hours
 scarce_hours = np.argsort(series.loads)[-20:]
-schedule = ActivationSchedule("2015", np.sort(scarce_hours), threshold_kw=None)
+schedule = ActivationSchedule("2015", np.sort(scarce_hours))
 stack = build_segment_stack(VclCurveParams(bundle.dynamic.voll, bundle.vcl_steepness),
                             series.peak_kw, 10)
 print(f"\ndynamic CS with {schedule.count} scarcity hours:")

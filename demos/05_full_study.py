@@ -83,13 +83,14 @@ for year in years:
             discomfort = sum(bd.discomfort for bd in rows)
             print(f"  {year} {policy:8s}: {monetary:8.0f} + {discomfort:7.0f} discomfort")
 
-out_dir = Path(tempfile.mkdtemp(prefix="capsub_study_"))
-loads_csv = out_dir / "loads.csv"
-write_load_csv([sc.series for c in population for sc in c.scenarios], loads_csv)
-manifest = build_manifest(loads_csv, calibrated, policies=("det", "stoch", "reactive"),
-                          regimes=("static", "dynamic"), threshold_kw=threshold,
-                          vcl_segments=10)
-written = write_study_outputs(result, out_dir, manifest)
-print(f"\nwrote {len(written)} files to {out_dir}:")
-for path in written:
-    print(f"  {path.name}")
+with tempfile.TemporaryDirectory(prefix="capsub_study_") as tmp:
+    out_dir = Path(tmp)
+    loads_csv = out_dir / "loads.csv"
+    write_load_csv([sc.series for c in population for sc in c.scenarios], loads_csv)
+    manifest = build_manifest(loads_csv, calibrated, policies=("det", "stoch", "reactive"),
+                              regimes=("static", "dynamic"), threshold_kw=threshold,
+                              vcl_segments=10)
+    written = write_study_outputs(result, out_dir, manifest)
+    print(f"\nwrote {len(written)} files to {out_dir} (removed on exit):")
+    for path in written:
+        print(f"  {path.name}")

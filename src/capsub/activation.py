@@ -11,20 +11,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data_model import HourlyLoadSeries, ScenarioSet
-from .errors import DomainError, MalformedRow, ScenarioMismatch
+from .errors import DomainError, ScenarioMismatch
 
 
 @dataclass(frozen=True)
 class ActivationSchedule:
-    """Hours of one scenario year in which load limiting is active.
-
-    ``threshold_kw`` records the aggregate-load threshold the schedule was
-    derived from; it is None for schedules imported from an external source.
-    """
+    """Hours of one scenario year in which load limiting is active."""
 
     year_label: str
     active_hours: np.ndarray
-    threshold_kw: float | None = None
 
     def __post_init__(self) -> None:
         hours = np.asarray(self.active_hours, dtype=np.int64)
@@ -70,7 +65,7 @@ def derive_activations(population: Sequence[HourlyLoadSeries],
                 f"vs {year} ({hours_count} h)")
     aggregate = np.sum([s.loads for s in population], axis=0)
     active = np.flatnonzero(aggregate > threshold_kw)
-    return ActivationSchedule(year, active, float(threshold_kw))
+    return ActivationSchedule(year, active)
 
 
 def derive_schedules(population: Sequence[ScenarioSet],
@@ -126,30 +121,3 @@ def write_schedules_csv(schedules: Iterable[ActivationSchedule], path: str | Pat
         for schedule in schedules:
             for hour in schedule.active_hours.tolist():
                 writer.writerow([schedule.year_label, hour])
-
-
-def read_schedules_csv(path: str | Path) -> list[ActivationSchedule]:
-    """Import exogenous schedules; the originating threshold is unknown."""
-    by_year: dict[str, list[int]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["year_label", "hour_index"]:
-            raise MalformedRow(f"line 1: expected header 'year_label,hour_index', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise MalformedRow(f"line {line_no}: expected 2 columns, got {len(row)}")
-            year, hour_text = row
-            try:
-                hour = int(hour_text)
-            except ValueError as exc:
-                raise MalformedRow(f"line {line_no}: bad hour index {hour_text!r}") from exc
-            if hour < 0:
-                raise MalformedRow(f"line {line_no}: negative hour index {hour}")
-            by_year.setdefault(year, []).append(hour)
-    return [
-        ActivationSchedule(year, np.unique(np.asarray(hours, dtype=np.int64)))
-        for year, hours in sorted(by_year.items())
-    ]

@@ -20,7 +20,7 @@ from .data_model import PolicyKind, TariffRegime
 from .errors import CalibrationFailed, CapsubError, ConfigError
 from .ingest import (SyntheticPopulationSpec, generate_population, parse_load_csv,
                      scenario_sets_from_series, write_load_csv)
-from .study import (CS_REGIMES, build_manifest, run_study, run_study_from_manifest,
+from .study import (CS_REGIMES, build_manifest, run_manifest, run_study_from_manifest,
                     write_study_outputs)
 from .vcl import DEFAULT_SEGMENT_COUNT, VclCurveParams, stacks_for_scenarios
 
@@ -67,13 +67,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="restrict the study to one regime (default: both CS regimes)")
     stu.add_argument("--policy", action="append", choices=[p.value for p in PolicyKind],
                      help="subscription policy to evaluate (repeatable)")
-    stu.add_argument("--threshold-kw", type=float, default=DEFAULT_THRESHOLD_KW)
-    stu.add_argument("--vcl-segments", type=int, default=DEFAULT_SEGMENT_COUNT)
+    stu.add_argument("--threshold-kw", type=float,
+                     help=f"aggregate activation threshold (default {DEFAULT_THRESHOLD_KW})")
+    stu.add_argument("--vcl-segments", type=int,
+                     help=f"discomfort-curve segments (default {DEFAULT_SEGMENT_COUNT})")
     stu.add_argument("--seed", type=int, help="recorded in the manifest for provenance")
     stu.add_argument("--jobs", type=int, default=1,
                      help="parallel workers (output is identical for any value)")
     stu.add_argument("--out", required=True, help="output directory")
-    stu.add_argument("--from-manifest", help="re-run a previous study from its study.json")
+    stu.add_argument("--from-manifest",
+                     help="re-run a previous study from its study.json (with --jobs, --out only)")
 
     return parser
 
@@ -128,31 +131,34 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+# the study arguments a manifest records; a rerun takes them from the manifest
+_RECORDED = ("loads", "tariff", "regime", "policy", "threshold_kw", "vcl_segments", "seed")
+
+
 def _cmd_study(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {args.jobs}")
     if args.from_manifest:
+        for name in _RECORDED:
+            if getattr(args, name) is not None:
+                raise ConfigError(f"study: --{name.replace('_', '-')} cannot be combined with "
+                                  f"--from-manifest, which records it")
         result, manifest = run_study_from_manifest(args.from_manifest, jobs=args.jobs)
-        write_study_outputs(result, args.out, manifest)
-        print(f"re-ran study from {args.from_manifest} into {args.out}")
-        return EXIT_OK
-
-    if not args.loads:
-        raise ConfigError("study: --loads is required (or --from-manifest)")
-    if not args.policy:
-        raise ConfigError("study: at least one --policy is required")
-    # both CS regimes by default; "--regime energy" leaves only the baseline
-    regimes = CS_REGIMES if args.regime is None else \
-        tuple(r for r in CS_REGIMES if r is TariffRegime(args.regime))
-
-    bundle = load_tariff_config(args.tariff) if args.tariff else default_tariff_bundle()
-    population = scenario_sets_from_series(parse_load_csv(args.loads))
-    result = run_study(population, bundle, policies=args.policy, regimes=regimes,
-                       threshold_kw=args.threshold_kw, vcl_segments=args.vcl_segments,
-                       jobs=args.jobs)
-    manifest = build_manifest(args.loads, bundle, policies=result.policies, regimes=result.regimes,
-                              threshold_kw=args.threshold_kw,
-                              vcl_segments=args.vcl_segments, seed=args.seed)
+    else:
+        if not args.loads:
+            raise ConfigError("study: --loads is required (or --from-manifest)")
+        if not args.policy:
+            raise ConfigError("study: at least one --policy is required")
+        # both CS regimes by default; "--regime energy" leaves only the baseline
+        regimes = CS_REGIMES if args.regime is None else \
+            tuple(r for r in CS_REGIMES if r is TariffRegime(args.regime))
+        bundle = load_tariff_config(args.tariff) if args.tariff else default_tariff_bundle()
+        manifest = build_manifest(
+            args.loads, bundle, policies=args.policy, regimes=regimes,
+            threshold_kw=DEFAULT_THRESHOLD_KW if args.threshold_kw is None else args.threshold_kw,
+            vcl_segments=DEFAULT_SEGMENT_COUNT if args.vcl_segments is None else args.vcl_segments,
+            seed=args.seed)
+        result = run_manifest(manifest, jobs=args.jobs, source="study")
     written = write_study_outputs(result, args.out, manifest)
     print(f"study complete: {len(written)} files in {args.out}")
     return EXIT_OK

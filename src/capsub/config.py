@@ -69,6 +69,8 @@ def _number(section: str, data: dict, key: str) -> float:
 
 
 def bundle_from_dict(raw: dict) -> TariffBundle:
+    if not isinstance(raw, dict):
+        raise ConfigError("tariff config: expected a JSON object")
     for section in ("energy_only", "static_cs", "dynamic_cs"):
         if section not in raw or not isinstance(raw[section], dict):
             raise ConfigError(f"tariff config: section {section!r} is missing")
@@ -123,8 +125,6 @@ def load_tariff_config(path: str | Path) -> TariffBundle:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"tariff config {path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"tariff config {path}: expected a JSON object")
     return bundle_from_dict(raw)
 
 

@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import DegenerateProfile
 
-HOURS_REGULAR_YEAR = 8760
-HOURS_LEAP_YEAR = 8784
-FULL_YEAR_HOUR_COUNTS = (HOURS_REGULAR_YEAR, HOURS_LEAP_YEAR)
-
 PROBABILITY_TOL = 1e-9
 
 
@@ -62,9 +58,6 @@ class HourlyLoadSeries:
     @property
     def total_kwh(self) -> float:
         return float(self.loads.sum())
-
-    def is_full_year(self) -> bool:
-        return self.hours_count in FULL_YEAR_HOUR_COUNTS
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Distributional statistics and machine-readable study tables.
+"""Machine-readable study tables: cost ratios, OLS fits and revenue totals.
 
 All emitted files are deterministic given the study inputs. Floats are
 written with full round-trip precision (repr), so identical studies produce
@@ -17,38 +17,9 @@ import numpy as np
 from .data_model import CostBreakdown
 from .errors import DomainError
 
-# Whisker convention: mean +/- 1.5 * sample standard deviation, clamped to the
-# data range (not the 1.5*IQR convention).
-WHISKER_STDDEV_FACTOR = 1.5
-
 
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-@dataclass(frozen=True)
-class BoxplotStats:
-    median: float
-    q25: float
-    q75: float
-    whisker_lo: float
-    whisker_hi: float
-    outliers: tuple[float, ...]
-
-
-def boxplot_stats(values: Sequence[float]) -> BoxplotStats:
-    """Quartiles by linear interpolation; whiskers at mean +/- 1.5 sample stddev."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise DomainError("boxplot_stats needs at least one value")
-    q25, median, q75 = np.percentile(arr, [25.0, 50.0, 75.0])
-    stddev = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    mean = float(arr.mean())
-    lo = max(mean - WHISKER_STDDEV_FACTOR * stddev, float(arr.min()))
-    hi = min(mean + WHISKER_STDDEV_FACTOR * stddev, float(arr.max()))
-    outliers = arr[(arr < lo) | (arr > hi)]
-    return BoxplotStats(float(median), float(q25), float(q75), lo, hi,
-                        tuple(outliers.tolist()))
 
 
 def relative_cost_curve(costs_a: Sequence[float], costs_b: Sequence[float]) -> np.ndarray:

@@ -60,11 +60,8 @@ class ConsumerStudy:
 class StudyResult:
     consumers: tuple[ConsumerStudy, ...]
     schedules: dict[str, ActivationSchedule]
-    bundle: TariffBundle
     policies: tuple[PolicyKind, ...]
     regimes: tuple[TariffRegime, ...]
-    threshold_kw: float
-    vcl_segments: int
 
     @property
     def years(self) -> tuple[str, ...]:
@@ -130,6 +127,15 @@ def _member(allowed, name, unknown: str):
     raise ConfigError(f"{unknown} {name!r}")
 
 
+def _policies(names) -> tuple[PolicyKind, ...]:
+    return tuple(dict.fromkeys(_member(PolicyKind, p, "policies: unknown policy") for p in names))
+
+
+def _regimes(names) -> tuple[TariffRegime, ...]:
+    return tuple(dict.fromkeys(
+        _member(CS_REGIMES, r, "regimes: unknown capacity-subscription regime") for r in names))
+
+
 def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
               policies: Sequence[str | PolicyKind],
               regimes: Sequence[str | TariffRegime] = CS_REGIMES,
@@ -142,12 +148,10 @@ def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
     """
     if not population:
         raise DomainError("population must not be empty")
-    policies = tuple(dict.fromkeys(_member(PolicyKind, p, "policies: unknown policy")
-                                   for p in policies))
+    policies = _policies(policies)
     if not policies:
         raise ConfigError(f"policies: at least one of {[p.value for p in PolicyKind]} is required")
-    regimes = tuple(dict.fromkeys(
-        _member(CS_REGIMES, r, "regimes: unknown capacity-subscription regime") for r in regimes))
+    regimes = _regimes(regimes)
     if vcl_segments < 1:
         raise ConfigError(f"vcl_segments: must be >= 1, got {vcl_segments}")
 
@@ -162,8 +166,7 @@ def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
     else:
         consumers = tuple(map(_consumer_worker, work))
 
-    return StudyResult(consumers, schedules, bundle, policies, regimes,
-                       float(threshold_kw), int(vcl_segments))
+    return StudyResult(consumers, schedules, policies, regimes)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +186,10 @@ def build_manifest(loads_csv: str | Path, bundle: TariffBundle, *,
                    regimes: Sequence[str | TariffRegime],
                    threshold_kw: float, vcl_segments: int,
                    seed: int | None = None) -> dict:
+    """The manifest of a study; records the SHA-256 of ``loads_csv``.
+
+    Policies and regimes are recorded by name, each once, in the order given.
+    """
     loads_path = Path(loads_csv)
     return {
         "manifest_version": MANIFEST_VERSION,
@@ -193,13 +200,59 @@ def build_manifest(loads_csv: str | Path, bundle: TariffBundle, *,
         },
         "tariff": bundle_to_dict(bundle),
         "params": {
-            "policies": [PolicyKind(p).value for p in policies],
-            "regimes": [TariffRegime(r).value for r in regimes],
+            "policies": [p.value for p in _policies(policies)],
+            "regimes": [r.value for r in _regimes(regimes)],
             "threshold_kw": threshold_kw,
             "vcl_segments": vcl_segments,
             "seed": seed,
         },
     }
+
+
+def _typed(value, kind: type, field: str, source: str):
+    if not isinstance(value, kind):
+        raise ConfigError(f"{source}: {field} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def run_manifest(manifest: dict, jobs: int = 1, *, source: str,
+                 verify_input: bool = False) -> StudyResult:
+    """Run the study a manifest records, parsing its loads CSV once.
+
+    Every field is checked first, so a malformed manifest raises ConfigError
+    naming ``source``. With ``verify_input`` the loads CSV must still have
+    the recorded SHA-256.
+    """
+    _typed(manifest, dict, "the manifest", source)
+    if manifest.get("manifest_version") != MANIFEST_VERSION:
+        raise ConfigError(f"{source}: manifest_version must be {MANIFEST_VERSION}, "
+                          f"got {manifest.get('manifest_version')!r}")
+    try:
+        inputs = _typed(manifest["inputs"], dict, "inputs", source)
+        loads_csv = Path(_typed(inputs["loads_csv"], str, "inputs.loads_csv", source))
+        recorded_hash = inputs["loads_csv_sha256"]
+        bundle = bundle_from_dict(manifest["tariff"])
+        params = _typed(manifest["params"], dict, "params", source)
+        policies = _typed(params["policies"], list, "params.policies", source)
+        regimes = _typed(params["regimes"], list, "params.regimes", source)
+        threshold_kw = checked_number(params["threshold_kw"], f"{source} threshold_kw")
+        vcl_segments = checked_number(params["vcl_segments"], f"{source} vcl_segments",
+                                      integer=True)
+    except KeyError as exc:
+        raise ConfigError(f"{source}: missing field {exc}") from exc
+    # older manifests record a subscription floor, which is gone; all of them hold 0.0
+    if params.get("min_level", 0.0) != 0.0:
+        raise ConfigError(f"{source}: min_level must be 0.0, got {params['min_level']!r}")
+    if verify_input:
+        if not loads_csv.exists():
+            raise ConfigError(f"manifest input {loads_csv} does not exist")
+        actual_hash = _sha256(loads_csv)
+        if actual_hash != recorded_hash:
+            raise ConfigError(f"manifest input {loads_csv} changed: sha256 {actual_hash} "
+                              f"!= recorded {recorded_hash}")
+    population = scenario_sets_from_series(parse_load_csv(loads_csv))
+    return run_study(population, bundle, policies=policies, regimes=regimes,
+                     threshold_kw=threshold_kw, vcl_segments=vcl_segments, jobs=jobs)
 
 
 def run_study_from_manifest(manifest_path: str | Path, jobs: int = 1) -> tuple[StudyResult, dict]:
@@ -208,30 +261,7 @@ def run_study_from_manifest(manifest_path: str | Path, jobs: int = 1) -> tuple[S
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"manifest {manifest_path}: invalid JSON ({exc})") from exc
-    try:
-        loads_csv = Path(manifest["inputs"]["loads_csv"])
-        recorded_hash = manifest["inputs"]["loads_csv_sha256"]
-        bundle = bundle_from_dict(manifest["tariff"])
-        params = manifest["params"]
-        policies = params["policies"]
-        regimes = params["regimes"]
-        threshold_kw = checked_number(params["threshold_kw"], "manifest threshold_kw")
-        vcl_segments = checked_number(params["vcl_segments"], "manifest vcl_segments", integer=True)
-    except KeyError as exc:
-        raise ConfigError(f"manifest {manifest_path}: missing field {exc}") from exc
-    # older manifests record a subscription floor, which is gone; all of them hold 0.0
-    if params.get("min_level", 0.0) != 0.0:
-        raise ConfigError(f"manifest {manifest_path}: min_level must be 0.0, got "
-                          f"{params['min_level']!r}")
-    if not loads_csv.exists():
-        raise ConfigError(f"manifest input {loads_csv} does not exist")
-    actual_hash = _sha256(loads_csv)
-    if actual_hash != recorded_hash:
-        raise ConfigError(
-            f"manifest input {loads_csv} changed: sha256 {actual_hash} != recorded {recorded_hash}")
-    population = scenario_sets_from_series(parse_load_csv(loads_csv))
-    result = run_study(population, bundle, policies=policies, regimes=regimes,
-                       threshold_kw=threshold_kw, vcl_segments=vcl_segments, jobs=jobs)
+    result = run_manifest(manifest, jobs, source=f"manifest {manifest_path}", verify_input=True)
     return result, manifest
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from capsub import (ActivationSchedule, DomainError, ScenarioMismatch, ScenarioSet,
                     activation_summary, derive_activations, derive_schedules,
-                    read_schedules_csv, write_schedules_csv)
+                    write_schedules_csv)
 
 from conftest import make_series
 
@@ -24,7 +24,6 @@ class TestDeriveActivations:
         c = make_series([140.0, 150.0, 100.0, 150.0])
         schedule = derive_activations([a, b, c], 390.0)
         assert schedule.active_hours.tolist() == [1, 2]
-        assert schedule.threshold_kw == 390.0
 
     def test_threshold_above_peak_gives_empty_schedule(self):
         schedule = derive_activations([make_series([1.0, 2.0, 3.0])], 10.0)
@@ -131,28 +130,14 @@ class TestScheduleValidation:
 
 
 class TestScheduleCsv:
-    def test_round_trip(self, tmp_path):
+    def test_one_row_per_active_hour(self, tmp_path):
         schedules = [
-            ActivationSchedule("2015", np.array([4, 17, 902]), 390.0),
-            ActivationSchedule("2016", np.array([], dtype=np.int64), 390.0),
-            ActivationSchedule("2017", np.array([7]), 390.0),
+            ActivationSchedule("2015", np.array([4, 17, 902])),
+            ActivationSchedule("2016", np.array([], dtype=np.int64)),
+            ActivationSchedule("2017", np.array([7])),
         ]
         path = tmp_path / "schedules.csv"
         write_schedules_csv(schedules, path)
-        loaded = read_schedules_csv(path)
-        # the empty 2016 schedule has no rows to import
-        assert [s.year_label for s in loaded] == ["2015", "2017"]
-        assert loaded[0].active_hours.tolist() == [4, 17, 902]
-        assert loaded[0].threshold_kw is None
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("year,hour\n2015,1\n")
-        with pytest.raises(Exception):
-            read_schedules_csv(path)
-
-    def test_bad_hour_value(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("year_label,hour_index\n2015,xx\n")
-        with pytest.raises(Exception):
-            read_schedules_csv(path)
+        # a year without activations writes no rows
+        assert path.read_text(encoding="utf-8") == (
+            "year_label,hour_index\n2015,4\n2015,17\n2015,902\n2017,7\n")

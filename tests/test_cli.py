@@ -219,6 +219,14 @@ def test_consumer_missing_a_year_is_input_error(generated_loads, tmp_path, capsy
     assert "covers years" in err
 
 
+@pytest.fixture(scope="module")
+def det_manifest(generated_loads, tmp_path_factory):
+    out = tmp_path_factory.mktemp("det_study")
+    assert main(["study", "--loads", str(generated_loads), "--policy", "det", "--regime", "static",
+                 "--threshold-kw", "18.0", "--out", str(out)]) == 0
+    return out / "study.json"
+
+
 class TestStudy:
     def test_singleton_population_end_to_end(self, tmp_path, capsys):
         spec = small_spec_file(tmp_path, consumer_count=1)
@@ -259,6 +267,19 @@ class TestStudy:
         assert names1 == names2
         for name in names1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--loads", "missing.csv"), ("--tariff", "tariff.json"), ("--regime", "static"),
+        ("--policy", "reactive"), ("--threshold-kw", "1"), ("--vcl-segments", "3"),
+        ("--seed", "5"),
+    ])
+    def test_from_manifest_rejects_recorded_arguments(self, det_manifest, tmp_path, capsys,
+                                                      flag, value):
+        code, _, err = run_cli(capsys, "study", "--from-manifest", str(det_manifest),
+                               "--out", str(tmp_path / "rerun"), flag, value)
+        assert code == 1
+        assert f"{flag} cannot be combined with --from-manifest" in err
+        assert not (tmp_path / "rerun").exists()
 
     def test_bad_regime_flag_is_input_error(self, generated_loads, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "study", "--loads", str(generated_loads),

@@ -1,6 +1,10 @@
+import json
+
 import pytest
 
-from capsub import TariffBook, TariffRegime, default_tariff_bundle
+from capsub import (ConfigError, TariffBook, TariffRegime, default_tariff_bundle,
+                    load_tariff_config)
+from capsub.config import bundle_from_dict
 
 
 class TestBundleBookLookup:
@@ -15,3 +19,13 @@ class TestBundleBookLookup:
         assert cheaper.static.capacity_price == 1.0
         assert (cheaper.energy, cheaper.dynamic, cheaper.vcl_steepness) == \
             (bundle.energy, bundle.dynamic, bundle.vcl_steepness)
+
+
+class TestTariffConfig:
+    @pytest.mark.parametrize("raw", [5, [], None, "static_cs"])
+    def test_non_object_rejected_in_one_place(self, tmp_path, raw):
+        path = tmp_path / "tariff.json"
+        path.write_text(json.dumps(raw))
+        for load in (lambda: bundle_from_dict(raw), lambda: load_tariff_config(path)):
+            with pytest.raises(ConfigError, match="^tariff config: expected a JSON object$"):
+                load()

@@ -75,11 +75,6 @@ class TestHourlyLoadSeries:
         with pytest.raises(ValueError):
             series.loads[0] = 9.0
 
-    def test_full_year_flags(self):
-        assert make_series(np.ones(8760)).is_full_year()
-        assert make_series(np.ones(8784)).is_full_year()
-        assert not make_series(np.ones(100)).is_full_year()
-
 
 class TestScenarioSet:
     def test_equiprobable(self):

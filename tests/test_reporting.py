@@ -1,44 +1,10 @@
 import numpy as np
 import pytest
 
-from capsub import (CostBreakdown, DomainError, aggregate_revenue_table, boxplot_stats,
-                    ols_fit, relative_cost_curve)
+from capsub import (CostBreakdown, DomainError, aggregate_revenue_table, ols_fit,
+                    relative_cost_curve)
 from capsub.reporting import (write_aggregate_revenue_csv, write_fullloadhours_csv,
                               write_relative_cost_csv)
-
-
-class TestBoxplotStats:
-    def test_five_point_example(self):
-        stats = boxplot_stats([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert stats.median == 3.0
-        assert stats.q25 == 2.0
-        assert stats.q75 == 4.0
-        # mean 3, sample stddev sqrt(2.5); whiskers clamp to the data range
-        sd = np.std([1, 2, 3, 4, 5], ddof=1)
-        assert stats.whisker_lo == pytest.approx(max(3.0 - 1.5 * sd, 1.0))
-        assert stats.whisker_hi == pytest.approx(min(3.0 + 1.5 * sd, 5.0))
-        assert stats.outliers == ()
-
-    def test_single_value(self):
-        stats = boxplot_stats([7.0])
-        assert stats.median == stats.q25 == stats.q75 == 7.0
-        assert stats.whisker_lo == stats.whisker_hi == 7.0
-        assert stats.outliers == ()
-
-    def test_constant_list(self):
-        stats = boxplot_stats([2.5] * 10)
-        assert stats.median == stats.q25 == stats.q75 == 2.5
-        assert stats.whisker_lo == stats.whisker_hi == 2.5
-        assert stats.outliers == ()
-
-    def test_outliers_beyond_whiskers(self):
-        values = [1.0] * 20 + [100.0]
-        stats = boxplot_stats(values)
-        assert 100.0 in stats.outliers
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            boxplot_stats([])
 
 
 class TestRelativeCostCurve:

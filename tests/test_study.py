@@ -215,12 +215,52 @@ class TestOutputsAndManifest:
         population, bundle, threshold, _ = small_study
         loads_csv = tmp_path / "loads.csv"
         write_load_csv([sc.series for sc in population[0].scenarios], loads_csv)
-        manifest = build_manifest(loads_csv, bundle, policies=(PolicyKind.STOCHASTIC, "det"),
-                                  regimes=(TariffRegime.STATIC_CS, "dynamic"),
+        manifest = build_manifest(loads_csv, bundle,
+                                  policies=(PolicyKind.STOCHASTIC, "det", "stoch"),
+                                  regimes=(TariffRegime.STATIC_CS, "dynamic", "static"),
                                   threshold_kw=threshold, vcl_segments=10)
         assert manifest["params"]["policies"] == ["stoch", "det"]
         assert manifest["params"]["regimes"] == ["static", "dynamic"]
         json.dumps(manifest)
+
+    @pytest.mark.parametrize("field, name, message", [
+        ("policies", "perfect", "policies: unknown policy 'perfect'"),
+        ("regimes", "energy", "regimes: unknown capacity-subscription regime 'energy'"),
+    ])
+    def test_manifest_rejects_unknown_names(self, small_study, tmp_path, field, name, message):
+        population, bundle, threshold, _ = small_study
+        loads_csv = tmp_path / "loads.csv"
+        write_load_csv([sc.series for sc in population[0].scenarios], loads_csv)
+        names = {"policies": ("stoch",), "regimes": ("static",)}
+        names[field] += (name,)
+        with pytest.raises(ConfigError, match=message):
+            build_manifest(loads_csv, bundle, **names, threshold_kw=threshold, vcl_segments=10)
+
+    @pytest.mark.parametrize("malform, message", [
+        pytest.param(lambda m: [], r"must be a dict, got \[\]", id="list"),
+        pytest.param(lambda m: None, "must be a dict, got None", id="null"),
+        pytest.param(lambda m: {**m, "manifest_version": 2}, "manifest_version must be 1, got 2",
+                     id="version-2"),
+        pytest.param(lambda m: {**m, "inputs": "x"}, "inputs must be a dict", id="inputs"),
+        pytest.param(lambda m: {**m, "tariff": 5}, "tariff config: expected a JSON object",
+                     id="tariff"),
+        pytest.param(lambda m: {**m, "params": {**m["params"], "policies": None}},
+                     "params.policies must be a list, got None", id="policies-null"),
+        pytest.param(lambda m: {**m, "params": {**m["params"], "policies": "det"}},
+                     "params.policies must be a list, got 'det'", id="policies-string"),
+        pytest.param(lambda m: {**m, "params": {**m["params"], "regimes": 5}},
+                     "params.regimes must be a list, got 5", id="regimes"),
+    ])
+    def test_malformed_manifest_is_config_error(self, small_study, tmp_path, malform, message):
+        population, bundle, threshold, _ = small_study
+        loads_csv = tmp_path / "loads.csv"
+        write_load_csv([sc.series for sc in population[0].scenarios], loads_csv)
+        manifest = build_manifest(loads_csv, bundle, policies=("stoch",), regimes=("static",),
+                                  threshold_kw=threshold, vcl_segments=10)
+        manifest_path = tmp_path / "study.json"
+        manifest_path.write_text(json.dumps(malform(manifest)))
+        with pytest.raises(ConfigError, match=message):
+            run_study_from_manifest(manifest_path)
 
     @pytest.mark.parametrize("field, value", [("threshold_kw", "abc"), ("vcl_segments", "10"),
                                               ("vcl_segments", 2.5)])

@@ -70,7 +70,7 @@ class TestStaticCs:
 
 class TestDynamicCs:
     def make_schedule(self, hours, year="2015"):
-        return ActivationSchedule(year, np.asarray(hours, dtype=np.int64), 390.0)
+        return ActivationSchedule(year, np.asarray(hours, dtype=np.int64))
 
     def test_empty_schedule_means_no_limiting(self, dynamic_book):
         series = make_series([1.0, 3.0, 2.0, 4.0])
