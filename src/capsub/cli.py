@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=f"discomfort-curve segments (default {DEFAULT_SEGMENT_COUNT})")
     stu.add_argument("--seed", type=int, help="recorded in the manifest for provenance")
     stu.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers (output is identical for any value)")
+                     help="upper bound on worker processes: at most one per 4 consumers, and "
+                          "4 or fewer run in-process (output is identical for any value)")
     stu.add_argument("--out", required=True, help="output directory")
     stu.add_argument("--from-manifest",
                      help="re-run a previous study from its study.json (with --jobs, --out only)")
@@ -136,8 +137,6 @@ _RECORDED = ("loads", "tariff", "regime", "policy", "threshold_kw", "vcl_segment
 
 
 def _cmd_study(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"jobs: must be >= 1, got {args.jobs}")
     if args.from_manifest:
         for name in _RECORDED:
             if getattr(args, name) is not None:

@@ -47,6 +47,7 @@ TIMESTAMP_FMT = "%Y-%m-%dT%H:%M"
 # Rows handled at once within a (consumer, year) block when writing or parsing;
 # bounds the temporaries to a few hundred kB without slowing either down.
 _CHUNK_HOURS = 1024
+_HOUR_SUFFIXES = tuple(f"T{hour:02d}:00" for hour in range(24))
 
 
 def hours_in_year(year: int) -> int:
@@ -223,10 +224,11 @@ def _hour_stamps(year: int, hours: int) -> list[str]:
     """Wire timestamps of the first ``hours`` hours from the start of ``year``.
 
     Years are zero-padded to four digits, as ``strptime``'s ``%Y`` requires.
+    numpy formats only the days; each day string takes the 24 hour suffixes.
     """
-    start = np.datetime64(f"{year:04d}-01-01T00:00", "m")
-    step = np.timedelta64(60, "m")
-    return np.arange(start, start + hours * step, step).astype(str).tolist()
+    start = np.datetime64(f"{year:04d}-01-01", "D")
+    days = np.arange(start, start + -(-hours // 24)).astype(str).tolist()
+    return [day + hour for day in days for hour in _HOUR_SUFFIXES][:hours]
 
 
 def _csv_id(consumer_id: str) -> str:

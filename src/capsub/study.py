@@ -6,7 +6,8 @@ optimal subscription levels per consumer under the requested policies
 cost breakdowns for every (regime, policy, year) combination and writes the
 reporting tables plus a manifest sufficient to reproduce the run exactly.
 
-Per-consumer work is independent and runs in parallel when requested; the
+Per-consumer work is independent and runs in worker processes when requested
+and the population is large enough to give more than one of them work; the
 collected results and all file output are ordered canonically so the output
 bytes do not depend on the degree of parallelism.
 """
@@ -40,6 +41,8 @@ MANIFEST_NAME = "study.json"
 
 CS_REGIMES = (TariffRegime.STATIC_CS, TariffRegime.DYNAMIC_CS)
 BASELINE_POLICY = "baseline"
+# consumers handed to a pool worker at a time
+_CHUNK_CONSUMERS = 4
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,12 @@ def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
 
     ``policies`` and ``regimes`` (capacity-subscription only) are named as the
     manifest records them, or given as PolicyKind and TariffRegime members.
+    ``jobs`` bounds the worker processes: at most one is started per 4
+    consumers (``_CHUNK_CONSUMERS``), so 4 or fewer consumers run in-process.
+    The result is the same for any ``jobs``.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
     if not population:
         raise DomainError("population must not be empty")
     policies = _policies(policies)
@@ -160,9 +168,10 @@ def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
     ordered = sorted(population, key=lambda s: s.consumer_id)
     work = [(consumer, bundle, schedules, policies, regimes, vcl_segments)
             for consumer in ordered]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            consumers = tuple(pool.map(_consumer_worker, work, chunksize=4))
+    workers = min(jobs, -(-len(work) // _CHUNK_CONSUMERS))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            consumers = tuple(pool.map(_consumer_worker, work, chunksize=_CHUNK_CONSUMERS))
     else:
         consumers = tuple(map(_consumer_worker, work))
 

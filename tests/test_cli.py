@@ -281,6 +281,14 @@ class TestStudy:
         assert f"{flag} cannot be combined with --from-manifest" in err
         assert not (tmp_path / "rerun").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_input_error(self, det_manifest, tmp_path, capsys, jobs):
+        code, _, err = run_cli(capsys, "study", "--from-manifest", str(det_manifest),
+                               "--jobs", jobs, "--out", str(tmp_path / "rerun"))
+        assert code == 1
+        assert f"jobs: must be >= 1, got {jobs}" in err
+        assert not (tmp_path / "rerun").exists()
+
     def test_bad_regime_flag_is_input_error(self, generated_loads, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "study", "--loads", str(generated_loads),
                              "--policy", "stoch", "--regime", "fancy",

@@ -376,6 +376,16 @@ class TestBlockParser:
     def test_matches_row_parser(self, consumers, years, seed, kind, mutation, at):
         check_against_row_parser(population_series(consumers, years, seed, kind), mutation, at)
 
+    @pytest.mark.parametrize("year", [1, 999, 2015, 2016, 9999])
+    def test_hour_stamps_match_minute_arange(self, year):
+        start = np.datetime64(f"{year:04d}-01-01T00:00", "m")
+        step = np.timedelta64(60, "m")
+        length = ingest.hours_in_year(year)
+        # the writer passes a series' own length, which may run past the year
+        for hours in (1, 24, 25, length, length + 25):
+            oracle = np.arange(start, start + hours * step, step).astype(str).tolist()
+            assert ingest._hour_stamps(year, hours) == oracle, hours
+
     def test_year_zero_left_to_row_parser(self, tmp_path):
         # numpy formats year 0, strptime rejects it
         path = tmp_path / "loads.csv"

@@ -8,6 +8,7 @@ from capsub import (ConfigError, PolicyKind, ScenarioMismatch, SyntheticPopulati
                     default_tariff_bundle, generate_population, run_study,
                     run_study_from_manifest, build_manifest, write_load_csv,
                     write_study_outputs)
+from capsub import study
 from capsub.study import _policy_cost_total
 
 
@@ -144,6 +145,47 @@ class TestRunStudy:
         for path in sorted(out_serial.iterdir()):
             twin = out_parallel / path.name
             assert twin.read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, small_study, jobs):
+        population, bundle, threshold, _ = small_study
+        with pytest.raises(ConfigError, match=f"jobs: must be >= 1, got {jobs}"):
+            run_study(population, bundle, policies=("stoch",), threshold_kw=threshold,
+                      jobs=jobs)
+
+
+class TestWorkerCount:
+    """At most one worker per chunk of 4 consumers; a single chunk runs in-process."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(study.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(study, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_four_consumers_start_no_pool(self, small_study, pool_sizes):
+        population, bundle, _, _ = small_study
+        four = population[:4]
+        threshold = pick_threshold(four)
+        runs = [run_study(four, bundle, policies=("det", "stoch", "reactive"),
+                          threshold_kw=threshold, vcl_segments=10, jobs=jobs)
+                for jobs in (8, 1)]
+        assert pool_sizes == []
+        assert runs[0].consumers == runs[1].consumers
+
+    def test_five_consumers_start_two_workers(self, small_study, pool_sizes):
+        population, bundle, threshold, serial = small_study
+        assert len(population) == 5
+        pooled = run_study(population, bundle, policies=("det", "stoch", "reactive"),
+                           threshold_kw=threshold, vcl_segments=10, jobs=8)
+        assert pool_sizes == [2]
+        assert pooled.consumers == serial.consumers
 
 
 class TestOutputsAndManifest:
