@@ -19,18 +19,30 @@ duplicate, or a load that is unparsable, non-finite or negative. The row
 parser accepts such a file if it is valid, and is the only code that raises
 MalformedRow, MissingHours and NegativeLoad, so error types, messages and
 line numbers do not depend on the fast path.
+
+A parsed file leaves a binary twin beside it (``loads.csv.twin``) that
+records the CSV's SHA-256, the (consumer, year) keys and the loads as
+little-endian float64. A later parse of the same bytes reads the twin in
+place of the text. A twin is a cache: it is used only when it records the
+CSV's hash and is consistent in every detail, and a twin that is missing,
+stale, truncated or corrupt, or cannot be written, costs one text parse.
 """
 
 from __future__ import annotations
 
 import calendar
+import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
 import math
 import numbers
+import os
+import struct
 import sys
+import zlib
 from dataclasses import asdict, dataclass
 from datetime import datetime
 from pathlib import Path
@@ -242,16 +254,115 @@ def _csv_id(consumer_id: str) -> str:
     return buf.getvalue()[:-3]
 
 
-def parse_load_csv(path: str | Path) -> list[HourlyLoadSeries]:
+def file_sha256(path: str | Path) -> str:
+    """Hex SHA-256 of the file at ``path``.
+
+    The file is read into one reused 64 KiB buffer. Reading it as a new
+    1 MiB bytes object per block raised a process's peak RSS by a few
+    hundred kB once calibrate hashed its input too.
+    """
+    digest = hashlib.sha256()
+    buffer = bytearray(1 << 16)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
+    return digest.hexdigest()
+
+
+def parse_load_csv(path: str | Path, sha256: str | None = None) -> list[HourlyLoadSeries]:
     """Parse and validate a load CSV into full-year series.
 
     Returns one series per (consumer, year), each sorted by hour and fully
     covering its calendar year. Raises MissingHours for gaps, NegativeLoad
     for negative values and MalformedRow (with the line number) for anything
     unparseable.
+
+    ``sha256`` is the CSV's hex SHA-256 if the caller has just computed it;
+    otherwise the file is hashed here. The series come from the CSV's twin
+    when it records that hash; else the text is parsed and the twin written.
     """
-    series_list = _parse_blocks(path)
-    return _parse_rows(path) if series_list is None else series_list
+    digest = file_sha256(path) if sha256 is None else sha256
+    twin = Path(path).with_name(Path(path).name + ".twin")
+    series_list = _read_twin(twin, digest)
+    if series_list is None:
+        series_list = _parse_blocks(path)
+        if series_list is None:
+            series_list = _parse_rows(path)
+        # the hash must still be the file's, or the twin would record other bytes
+        if file_sha256(path) == digest:
+            _write_twin(twin, digest, series_list)
+    return series_list
+
+
+# ---------------------------------------------------------------------------
+# The binary twin of a load CSV
+# ---------------------------------------------------------------------------
+
+_TWIN_MAGIC = b"capsubtw"
+_TWIN_VERSION = 1
+# magic, format version, hex SHA-256 of the CSV, index bytes, CRC-32 of the loads
+_TWIN_HEAD = struct.Struct("<8sI64sQI")
+_TWIN_LOADS = np.dtype("<f8")
+
+
+def _read_twin(twin: Path, sha256: str) -> list[HourlyLoadSeries] | None:
+    """The series ``twin`` holds for the CSV with hash ``sha256``; None unless it is consistent.
+
+    The loads are read straight into one array, which the series view.
+    """
+    try:
+        with open(twin, "rb") as fh:
+            head = fh.read(_TWIN_HEAD.size)
+            if len(head) != _TWIN_HEAD.size:
+                return None
+            magic, version, recorded, index_size, crc = _TWIN_HEAD.unpack(head)
+            if (magic, version, recorded) != (_TWIN_MAGIC, _TWIN_VERSION, sha256.encode()):
+                return None
+            size = os.fstat(fh.fileno()).st_size - _TWIN_HEAD.size
+            if index_size > size:
+                return None
+            keys = [tuple(key) for key in json.loads(fh.read(index_size))]
+            if not all(len(key) == 2 and isinstance(key[0], str) and key[0]
+                       and type(key[1]) is int and 1 <= key[1] <= 9999 for key in keys):
+                return None
+            if keys != sorted(set(keys)):
+                return None
+            bounds = np.cumsum([0] + [hours_in_year(year) for _, year in keys]).tolist()
+            if size != index_size + bounds[-1] * _TWIN_LOADS.itemsize:
+                return None
+            loads = np.empty(bounds[-1], dtype=_TWIN_LOADS)
+            if fh.readinto(loads) != loads.nbytes or zlib.crc32(loads) != crc:
+                return None
+        # HourlyLoadSeries rejects non-finite and negative loads with ValueError
+        return [HourlyLoadSeries(consumer_id, str(year), loads[start:end])
+                for (consumer_id, year), start, end in zip(keys, bounds, bounds[1:])]
+    except (OSError, ValueError, TypeError):
+        return None
+
+
+def _write_twin(twin: Path, sha256: str, series_list: Sequence[HourlyLoadSeries]) -> None:
+    """Write the twin through a temporary file and os.replace; skipped on any OSError."""
+    index = json.dumps([[s.consumer_id, int(s.year_label)] for s in series_list]).encode()
+    crc = 0
+    for series in series_list:
+        crc = zlib.crc32(series.loads.astype(_TWIN_LOADS, copy=False), crc)
+    tmp = twin.with_name(f"{twin.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError:  # also when another thread of this process is writing it
+        return
+    try:
+        with fh:
+            fh.write(_TWIN_HEAD.pack(_TWIN_MAGIC, _TWIN_VERSION, sha256.encode(), len(index),
+                                     crc))
+            fh.write(index)
+            for series in series_list:
+                fh.write(series.loads.astype(_TWIN_LOADS, copy=False))
+        os.replace(tmp, twin)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _parse_blocks(path: str | Path) -> list[HourlyLoadSeries] | None:
@@ -300,14 +411,15 @@ def _read_block(fh: Iterable[str], first: str, consumer_id: str,
         text = "".join(itertools.islice(lines, count))
         if '"' in text or "\r" in text:
             return None
+        # each "\n" becomes a field of its own, so that every line must have three fields;
         # a chunk of complete lines ends in "\n", which leaves one empty field at the end
-        fields = text.replace("\n", ",").split(",")
-        if (fields.pop() or len(fields) != 3 * count
-                or fields[0::3] != [consumer_id] * count or fields[1::3] != expected
-                or max(map(len, fields[2::3])) > limit):
+        fields = text.replace("\n", ",\n,").split(",")
+        if (fields.pop() or len(fields) != 4 * count or fields[3::4] != ["\n"] * count
+                or fields[0::4] != [consumer_id] * count or fields[1::4] != expected
+                or max(map(len, fields[2::4])) > limit):
             return None
         try:
-            loads[start:start + count] = np.array(fields[2::3], dtype=np.float64)
+            loads[start:start + count] = np.array(fields[2::4], dtype=np.float64)
         except ValueError:
             return None
     if np.isfinite(loads).all() and (loads >= 0.0).all():

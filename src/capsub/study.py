@@ -14,7 +14,6 @@ bytes do not depend on the degree of parallelism.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from .config import TariffBundle, bundle_from_dict, bundle_to_dict
 from .data_model import (CostBreakdown, PolicyKind, ScenarioSet, TariffRegime, full_load_hours,
                          load_factor)
 from .errors import ConfigError, DomainError
-from .ingest import checked_number, parse_load_csv, scenario_sets_from_series
+from .ingest import checked_number, file_sha256, parse_load_csv, scenario_sets_from_series
 from .optimizer import optimize_deterministic, optimize_expected
 from .reporting import (aggregate_revenue_table, write_aggregate_revenue_csv,
                         write_annual_costs_csv, write_fullloadhours_csv,
@@ -182,14 +181,6 @@ def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
 # Manifest and output files
 # ---------------------------------------------------------------------------
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def build_manifest(loads_csv: str | Path, bundle: TariffBundle, *,
                    policies: Sequence[str | PolicyKind],
                    regimes: Sequence[str | TariffRegime],
@@ -205,7 +196,7 @@ def build_manifest(loads_csv: str | Path, bundle: TariffBundle, *,
         "capsub_version": __version__,
         "inputs": {
             "loads_csv": str(loads_path.resolve()),
-            "loads_csv_sha256": _sha256(loads_path),
+            "loads_csv_sha256": file_sha256(loads_path),
         },
         "tariff": bundle_to_dict(bundle),
         "params": {
@@ -230,7 +221,9 @@ def run_manifest(manifest: dict, jobs: int = 1, *, source: str,
 
     Every field is checked first, so a malformed manifest raises ConfigError
     naming ``source``. With ``verify_input`` the loads CSV must still have
-    the recorded SHA-256.
+    the recorded SHA-256; without it the caller vouches for the recorded
+    hash, as for a manifest fresh from ``build_manifest``. Either way the
+    parse takes the recorded hash to find the CSV's twin, not a new one.
     """
     _typed(manifest, dict, "the manifest", source)
     if manifest.get("manifest_version") != MANIFEST_VERSION:
@@ -239,7 +232,8 @@ def run_manifest(manifest: dict, jobs: int = 1, *, source: str,
     try:
         inputs = _typed(manifest["inputs"], dict, "inputs", source)
         loads_csv = Path(_typed(inputs["loads_csv"], str, "inputs.loads_csv", source))
-        recorded_hash = inputs["loads_csv_sha256"]
+        recorded_hash = _typed(inputs["loads_csv_sha256"], str, "inputs.loads_csv_sha256",
+                               source)
         bundle = bundle_from_dict(manifest["tariff"])
         params = _typed(manifest["params"], dict, "params", source)
         policies = _typed(params["policies"], list, "params.policies", source)
@@ -255,11 +249,11 @@ def run_manifest(manifest: dict, jobs: int = 1, *, source: str,
     if verify_input:
         if not loads_csv.exists():
             raise ConfigError(f"manifest input {loads_csv} does not exist")
-        actual_hash = _sha256(loads_csv)
+        actual_hash = file_sha256(loads_csv)
         if actual_hash != recorded_hash:
             raise ConfigError(f"manifest input {loads_csv} changed: sha256 {actual_hash} "
                               f"!= recorded {recorded_hash}")
-    population = scenario_sets_from_series(parse_load_csv(loads_csv))
+    population = scenario_sets_from_series(parse_load_csv(loads_csv, recorded_hash))
     return run_study(population, bundle, policies=policies, regimes=regimes,
                      threshold_kw=threshold_kw, vcl_segments=vcl_segments, jobs=jobs)
 

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capsub
 from capsub import (DEFAULT_TARIFF_CONFIG, SyntheticPopulationSpec, generate_population,
                     parse_load_csv)
 from capsub.cli import main
@@ -295,3 +300,64 @@ class TestStudy:
                              "--out", str(tmp_path / "s"))
         assert code == 1
 
+
+
+class TestTwin:
+    """A load CSV's binary twin changes no output, and serves later processes."""
+
+    def pipeline(self, capsys, loads, out, cold):
+        """calibrate both regimes, study, and rerun at --jobs 1 and 2; returns the outputs."""
+        twin = loads.with_name("loads.csv.twin")
+        commands = [
+            ["calibrate", "--loads", str(loads), "--regime", "static",
+             "--out", str(out / "static.json")],
+            ["calibrate", "--loads", str(loads), "--regime", "dynamic", "--tariff",
+             str(out / "static.json"), "--threshold-kw", "22.5", "--out", str(out / "tariff.json")],
+            ["study", "--loads", str(loads), "--tariff", str(out / "tariff.json"),
+             "--policy", "det", "--policy", "stoch", "--policy", "reactive",
+             "--threshold-kw", "22.5", "--out", str(out / "study")],
+        ] + [["study", "--from-manifest", str(out / "study" / "study.json"),
+              "--jobs", jobs, "--out", str(out / f"rerun{jobs}")] for jobs in ("1", "2")]
+        for argv in commands:
+            if cold:
+                twin.unlink(missing_ok=True)
+            assert twin.exists() is not cold
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            assert twin.exists()
+        return {path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    def test_cold_and_warm_runs_are_byte_identical(self, tmp_path, capsys):
+        # 5 consumers are 2 chunks of 4, so the --jobs 2 rerun starts a pool
+        spec = small_spec_file(tmp_path, consumer_count=5)
+        assert run_cli(capsys, "generate", "--spec", str(spec), "--out", str(tmp_path))[0] == 0
+        loads = tmp_path / "loads.csv"
+        cold = self.pipeline(capsys, loads, tmp_path / "cold", cold=True)
+        warm = self.pipeline(capsys, loads, tmp_path / "warm", cold=False)
+        assert cold == warm
+        study = {path.name: data for path, data in cold.items() if path.parts[0] == "study"}
+        for jobs in ("1", "2"):
+            assert {path.name: data for path, data in cold.items()
+                    if path.parts[0] == f"rerun{jobs}"} == study
+
+    def test_twin_serves_a_process_that_cannot_parse_text(self, generated_loads, tmp_path,
+                                                          capsys):
+        argv = ["calibrate", "--loads", str(generated_loads), "--regime", "dynamic",
+                "--threshold-kw", "18.0"]
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "here.json"))
+        assert code == 0, err
+        script = ("import sys\n"
+                  "from capsub import cli, ingest\n"
+                  "def fail(path):\n"
+                  "    raise AssertionError(f'{path} was parsed as text')\n"
+                  "ingest._parse_blocks = ingest._parse_rows = fail\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(capsub.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, *argv,
+                               "--out", str(tmp_path / "there.json")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "there.json").read_bytes() == (tmp_path / "here.json").read_bytes()

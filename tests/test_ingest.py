@@ -274,7 +274,7 @@ def assert_same_outcome(got, want):
 
 MUTATIONS = ("none", "swap", "drop", "duplicate", "negate", "nan", "inf", "1e400", "1_0",
              " 2.5", "quote", "crlf", "blank", "no_final_newline", "interleave",
-             "noncanonical", "rename", "repeat_block")
+             "noncanonical", "rename", "repeat_block", "shift")
 LOAD_REPLACEMENTS = {"nan", "inf", "1e400", "1_0", " 2.5"}
 
 
@@ -315,6 +315,11 @@ def mutate(lines, mutation, at):
         first_year = rows[0].split(",")[1][:4]
         rows += [row for row in rows if row.split(",")[1][:4] == first_year
                  and row.split(",")[0] == rows[0].split(",")[0]]
+    elif mutation == "shift":
+        # the next row's id moves to the end of this row: 4 fields, then 2
+        i = min(i, len(rows) - 2)
+        cid, rest = rows[i + 1].split(",", 1)
+        rows[i], rows[i + 1] = f"{rows[i]},{cid}", rest
     elif mutation == "noncanonical":
         cid, ts, load = rows[i].split(",")
         rows[i] = f"{cid},{ts[:5]}{int(ts[5:7])}{ts[7:]},{load}"
@@ -405,6 +410,21 @@ class TestBlockParser:
         assert want[0] is MalformedRow
         assert parse_outcome(parse_load_csv, path) == want
 
+    @pytest.mark.parametrize("consumer_id", ["c0", "7"])
+    @pytest.mark.parametrize("fields", [4, 2])
+    def test_rows_with_shifted_fields_left_to_row_parser(self, tmp_path, consumer_id, fields):
+        # line 2 gets ``fields`` fields and line 3 the rest, so the chunk's fields
+        # still line up; with a numeric id a shifted id would even parse as a load
+        path = tmp_path / "loads.csv"
+        write_load_csv(population_series(1, [2015], seed=5), path)
+        lines = path.read_text(encoding="utf-8").replace("c0,", f"{consumer_id},").splitlines()
+        joined = f"{lines[1]},{lines[2]}".split(",")
+        lines[1:3] = [",".join(joined[:fields]), ",".join(joined[fields:])]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert ingest._parse_blocks(path) is None
+        with pytest.raises(MalformedRow, match=f"line 2: expected 3 columns, got {fields}"):
+            parse_load_csv(path)
+
     def test_missing_hour_stamp_is_zero_padded(self, tmp_path):
         path = tmp_path / "loads.csv"
         write_load_csv([HourlyLoadSeries("a", "999", np.ones(8760))], path)
@@ -462,3 +482,107 @@ class TestBlockWriter:
                        path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "dc4f7165f6a621f6f576e629e41a1cb0f2db062b9e62c6236e1d3e9ebb85b4d9")
+
+
+# ---------------------------------------------------------------------------
+# The binary twin beside a parsed CSV
+# ---------------------------------------------------------------------------
+
+def forbid_text_parse(monkeypatch):
+    def fail(path):
+        raise AssertionError(f"{path} was parsed as text")
+    monkeypatch.setattr(ingest, "_parse_blocks", fail)
+    monkeypatch.setattr(ingest, "_parse_rows", fail)
+
+
+class TestTwin:
+    @pytest.fixture
+    def loads_csv(self, tmp_path):
+        path = tmp_path / "loads.csv"
+        write_load_csv(population_series(2, [2015, 2016], seed=6), path)
+        return path
+
+    def test_second_parse_reads_the_twin(self, loads_csv, monkeypatch):
+        first = parse_outcome(parse_load_csv, loads_csv)
+        assert sorted(p.name for p in loads_csv.parent.iterdir()) == ["loads.csv",
+                                                                     "loads.csv.twin"]
+        forbid_text_parse(monkeypatch)
+        assert_same_outcome(parse_outcome(parse_load_csv, loads_csv), first)
+        digest = hashlib.sha256(loads_csv.read_bytes()).hexdigest()
+        assert_same_outcome(parse_outcome(lambda p: parse_load_csv(p, digest), loads_csv), first)
+
+    def test_stale_twin_is_ignored_and_replaced(self, loads_csv, monkeypatch):
+        parse_load_csv(loads_csv)
+        write_load_csv(population_series(2, [2015], seed=7), loads_csv)
+        want = parse_outcome(ingest._parse_rows, loads_csv)
+        assert_same_outcome(parse_outcome(parse_load_csv, loads_csv), want)
+        forbid_text_parse(monkeypatch)
+        assert_same_outcome(parse_outcome(parse_load_csv, loads_csv), want)
+
+    @pytest.mark.parametrize("damage", ["truncated", "short_by_one", "garbage",
+                                        "other_csv", "flipped_load", "index_order"])
+    def test_damaged_twin_is_ignored(self, loads_csv, monkeypatch, damage):
+        want = parse_outcome(ingest._parse_rows, loads_csv)
+        twin = loads_csv.with_name("loads.csv.twin")
+        parse_load_csv(loads_csv)
+        good = twin.read_bytes()
+        if damage == "truncated":
+            twin.write_bytes(good[:10])
+        elif damage == "short_by_one":
+            twin.write_bytes(good[:-1])
+        elif damage == "garbage":
+            twin.write_bytes(np.random.default_rng(0).bytes(len(good)))
+        elif damage == "other_csv":
+            other = loads_csv.with_name("other.csv")
+            write_load_csv(population_series(2, [2015, 2016], seed=8), other)
+            parse_load_csv(other)
+            other.with_name("other.csv.twin").replace(twin)
+        elif damage == "flipped_load":
+            twin.write_bytes(good[:-3] + bytes([good[-3] ^ 1]) + good[-2:])
+        else:  # the same keys in another order: the loads no longer belong to them
+            twin.write_bytes(good.replace(b'["c0", 2015], ["c0", 2016]',
+                                          b'["c0", 2016], ["c0", 2015]'))
+            assert twin.read_bytes() != good
+        assert_same_outcome(parse_outcome(parse_load_csv, loads_csv), want)
+        assert twin.read_bytes() == good
+        forbid_text_parse(monkeypatch)
+        assert_same_outcome(parse_outcome(parse_load_csv, loads_csv), want)
+
+    def test_digest_of_other_bytes_writes_no_twin(self, loads_csv):
+        # as from a manifest whose input has since changed
+        want = parse_outcome(ingest._parse_rows, loads_csv)
+        stale = hashlib.sha256(b"other bytes").hexdigest()
+        assert_same_outcome(parse_outcome(lambda p: parse_load_csv(p, stale), loads_csv), want)
+        assert [p.name for p in loads_csv.parent.iterdir()] == ["loads.csv"]
+
+    def test_failed_replace_changes_nothing(self, loads_csv, monkeypatch):
+        def fail(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+        want = parse_outcome(ingest._parse_rows, loads_csv)
+        monkeypatch.setattr(ingest.os, "replace", fail)
+        for _ in range(2):
+            assert_same_outcome(parse_outcome(parse_load_csv, loads_csv), want)
+        assert [p.name for p in loads_csv.parent.iterdir()] == ["loads.csv"]
+
+    @pytest.mark.parametrize("rows", [
+        full_year_rows(skip_hour=5),
+        full_year_rows(override=(7, "-0.3")),
+        full_year_rows(override=(2, "one")),
+    ])
+    def test_bad_csv_fails_alike_twice_and_leaves_no_twin(self, tmp_path, rows):
+        path = tmp_path / "loads.csv"
+        write_rows(path, rows)
+        first = parse_outcome(parse_load_csv, path)
+        assert isinstance(first, tuple) and issubclass(first[0], Exception)
+        assert parse_outcome(parse_load_csv, path) == first
+        assert [p.name for p in tmp_path.iterdir()] == ["loads.csv"]
+
+    @pytest.mark.parametrize("mutation", ["crlf", "swap"])
+    def test_non_canonical_csv_reads_the_same_twice(self, loads_csv, monkeypatch, mutation):
+        lines = loads_csv.read_text(encoding="utf-8").splitlines()
+        loads_csv.write_bytes(mutate(lines, mutation, at=100).encode("utf-8"))
+        assert ingest._parse_blocks(loads_csv) is None
+        first = parse_outcome(parse_load_csv, loads_csv)
+        assert not isinstance(first, tuple)
+        forbid_text_parse(monkeypatch)
+        assert_same_outcome(parse_outcome(parse_load_csv, loads_csv), first)

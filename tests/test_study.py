@@ -284,6 +284,8 @@ class TestOutputsAndManifest:
         pytest.param(lambda m: {**m, "manifest_version": 2}, "manifest_version must be 1, got 2",
                      id="version-2"),
         pytest.param(lambda m: {**m, "inputs": "x"}, "inputs must be a dict", id="inputs"),
+        pytest.param(lambda m: {**m, "inputs": {**m["inputs"], "loads_csv_sha256": None}},
+                     "inputs.loads_csv_sha256 must be a str, got None", id="sha256-null"),
         pytest.param(lambda m: {**m, "tariff": 5}, "tariff config: expected a JSON object",
                      id="tariff"),
         pytest.param(lambda m: {**m, "params": {**m["params"], "policies": None}},
