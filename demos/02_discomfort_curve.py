@@ -26,7 +26,7 @@ for b in (2.0, 4.0):
 
 stack = build_segment_stack(params, peak_load_kw=4.0, segment_count=10)
 print("\n10-segment stack for a 4 kW peak (width, EUR/kWh):")
-for width, cost in stack.segments:
+for width, cost in zip(stack.widths_kw, stack.marginal_costs):
     print(f"  {width:.2f} kW @ {cost:.4f}")
 
 print("\ngreedy fill: total discomfort per hour of curtailment")

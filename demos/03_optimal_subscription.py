@@ -33,8 +33,7 @@ print(f"exceedance-hour target: {book.capacity_price} / "
 stochastic = optimize_static(consumer, book)
 x_stoch = stochastic.decision.level
 print(f"\nstochastic optimum over {len(years)} weather years: {x_stoch:.3f} kW "
-      f"(expected cost {stochastic.expected_breakdown.total_monetary:.2f} EUR, "
-      f"{stochastic.candidate_count} candidates)")
+      f"(expected cost {stochastic.expected_breakdown.total_monetary:.2f} EUR)")
 print(f"expected hours above the level: "
       f"{expected_exceedance_hours(consumer, x_stoch):.1f} h/yr")
 

@@ -13,18 +13,22 @@ candidate levels, which lets calibration re-optimize cheaply while scanning
 capacity prices. Ties go to the smallest level: levels whose objective is
 within TIE_RTOL of the minimum count as tied, so rounding cannot pick the
 upper end of a flat piece.
+
+The optimizer only chooses levels (``optimize_expected``); ``tariff_engine``
+prices them. The public ``optimize_*`` wrappers add the policy and the
+expected cost breakdown at the level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .activation import ActivationSchedule
-from .data_model import (CostBreakdown, HourlyLoadSeries, LoadScenario, PolicyKind,
-                         ScenarioSet, SubscriptionDecision, TariffBook, TariffRegime)
+from .data_model import (CostBreakdown, HourlyLoadSeries, PolicyKind, ScenarioSet,
+                         SubscriptionDecision, TariffBook, TariffRegime)
 from .errors import DomainError, IllPosed
 from .tariff_engine import active_loads, expected_cost, require_regime, schedule_and_stack
 from .vcl import VclSegmentStack
@@ -35,11 +39,10 @@ TIE_RTOL = 1e-13
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """An optimal decision, its expected cost breakdown and search diagnostics."""
+    """An optimal decision and the expected cost breakdown at its level."""
 
     decision: SubscriptionDecision
     expected_breakdown: CostBreakdown
-    candidate_count: int
 
 
 def expected_exceedance_hours(scenario_set: ScenarioSet, level: float) -> float:
@@ -147,19 +150,25 @@ def _argmin_index(objective: np.ndarray) -> int:
 
 def optimize_expected(scenario_set: ScenarioSet, book: TariffBook,
                       schedules: Mapping[str, ActivationSchedule] | None = None,
-                      stacks: Mapping[str, VclSegmentStack] | None = None) -> OptimizationResult:
-    """Exact minimizer of the expected cost (static) or welfare (dynamic) of the book."""
+                      stacks: Mapping[str, VclSegmentStack] | None = None) -> float:
+    """Exact minimizing level of the expected cost (static) or welfare (dynamic) of the book."""
     levels, const = objective_lines(scenario_set, book, schedules, stacks)
-    level = float(levels[_argmin_index(const + book.capacity_price * levels)])
-    decision = SubscriptionDecision(level, PolicyKind.STOCHASTIC)
-    breakdown = expected_cost(scenario_set, book, level, schedules, stacks)
-    return OptimizationResult(decision, breakdown, int(levels.size))
+    return float(levels[_argmin_index(const + book.capacity_price * levels)])
+
+
+def _optimized(scenario_set: ScenarioSet, book: TariffBook, policy: PolicyKind,
+               schedules: Mapping[str, ActivationSchedule] | None = None,
+               stacks: Mapping[str, VclSegmentStack] | None = None,
+               source_year_label: str | None = None) -> OptimizationResult:
+    level = optimize_expected(scenario_set, book, schedules, stacks)
+    return OptimizationResult(SubscriptionDecision(level, policy, source_year_label),
+                              expected_cost(scenario_set, book, level, schedules, stacks))
 
 
 def optimize_static(scenario_set: ScenarioSet, book: TariffBook) -> OptimizationResult:
     """Exact expected-cost minimizer for the static CS tariff."""
     require_regime(book, TariffRegime.STATIC_CS)
-    return optimize_expected(scenario_set, book)
+    return _optimized(scenario_set, book, PolicyKind.STOCHASTIC)
 
 
 def optimize_dynamic(scenario_set: ScenarioSet, book: TariffBook,
@@ -167,7 +176,7 @@ def optimize_dynamic(scenario_set: ScenarioSet, book: TariffBook,
                      stacks: Mapping[str, VclSegmentStack]) -> OptimizationResult:
     """Exact expected-welfare (monetary + discomfort) minimizer for dynamic CS."""
     require_regime(book, TariffRegime.DYNAMIC_CS)
-    return optimize_expected(scenario_set, book, schedules, stacks)
+    return _optimized(scenario_set, book, PolicyKind.STOCHASTIC, schedules, stacks)
 
 
 def optimize_deterministic(series: HourlyLoadSeries, book: TariffBook,
@@ -175,9 +184,6 @@ def optimize_deterministic(series: HourlyLoadSeries, book: TariffBook,
                            stack: VclSegmentStack | None = None) -> OptimizationResult:
     """Perfect-foresight optimum for a single year (probability-1 scenario)."""
     year = series.year_label
-    result = optimize_expected(ScenarioSet((LoadScenario(series, 1.0),)), book,
-                               None if schedule is None else {year: schedule},
-                               None if stack is None else {year: stack})
-    decision = replace(result.decision, policy=PolicyKind.DETERMINISTIC, source_year_label=year)
-    return OptimizationResult(decision, result.expected_breakdown, result.candidate_count)
-
+    return _optimized(ScenarioSet.equiprobable((series,)), book, PolicyKind.DETERMINISTIC,
+                      None if schedule is None else {year: schedule},
+                      None if stack is None else {year: stack}, year)

@@ -1,10 +1,10 @@
 """End-to-end multi-year study runner over a consumer population.
 
-Derives activation schedules from the aggregate population load, computes
-optimal subscription levels per consumer under the requested policies
-(perfect-foresight deterministic, stochastic, reactive), evaluates annual
-cost breakdowns for every (regime, policy, year) combination and writes the
-reporting tables plus a manifest sufficient to reproduce the run exactly.
+Derives activation schedules from the aggregate population load, takes each
+consumer's subscription levels under the requested policies (perfect-foresight
+deterministic, stochastic, reactive) from the optimizer, prices every (regime,
+policy, year) combination once with ``annual_cost`` and writes the reporting
+tables plus a manifest sufficient to reproduce the run exactly.
 
 Per-consumer work is independent and runs in worker processes when requested
 and the population is large enough to give more than one of them work; the
@@ -27,7 +27,7 @@ from .data_model import (CostBreakdown, PolicyKind, ScenarioSet, TariffRegime, f
                          load_factor)
 from .errors import ConfigError, DomainError
 from .ingest import checked_number, file_sha256, parse_load_csv, scenario_sets_from_series
-from .optimizer import optimize_deterministic, optimize_expected
+from .optimizer import optimize_expected
 from .reporting import (aggregate_revenue_table, write_aggregate_revenue_csv,
                         write_annual_costs_csv, write_fullloadhours_csv,
                         write_loadfactor_scatter_csv, write_relative_cost_csv,
@@ -91,33 +91,27 @@ def _consumer_worker(args: tuple) -> ConsumerStudy:
         book = bundle.book(regime)
         name = regime.value
 
-        det_by_year = {}
-        if det in policies or reactive in policies:
-            det_by_year = {
-                year: optimize_deterministic(series[year], book, schedules[year], stacks.get(year))
-                for year in years
-            }
-
+        # perfect-foresight levels of the years that det or reactive use
+        det_years = years if det in policies else years[:-1] if reactive in policies else ()
+        det_levels = {year: optimize_expected(ScenarioSet.equiprobable((series[year],)), book,
+                                              schedules, stacks)
+                      for year in det_years}
         if det in policies:
-            levels[(name, det.value)] = tuple(
-                (year, det_by_year[year].decision.level) for year in years)
-            for year in years:
-                breakdowns[(name, det.value, year)] = det_by_year[year].expected_breakdown
-
+            levels[(name, det.value)] = tuple(det_levels.items())
         if stoch in policies:
-            level = optimize_expected(scenario_set, book, schedules, stacks).decision.level
-            levels[(name, stoch.value)] = (("", level),)
-            for year in years:
-                breakdowns[(name, stoch.value, year)] = annual_cost(
-                    series[year], book, level, schedules, stacks)
-
+            levels[(name, stoch.value)] = (
+                ("", optimize_expected(scenario_set, book, schedules, stacks)),)
         if reactive in policies:
             # the previous year's perfect-foresight level, applied to the next year
-            rows = levels[(name, reactive.value)] = tuple(
-                (year, det_by_year[prev].decision.level) for prev, year in zip(years, years[1:]))
-            for year, level in rows:
-                breakdowns[(name, reactive.value, year)] = annual_cost(
-                    series[year], book, level, schedules, stacks)
+            levels[(name, reactive.value)] = tuple(
+                (year, det_levels[prev]) for prev, year in zip(years, years[1:]))
+
+        # each row priced once; a set-wide level ("") is priced in every year
+        for policy in policies:
+            for row_year, level in levels[(name, policy.value)]:
+                for year in (row_year,) if row_year else years:
+                    breakdowns[(name, policy.value, year)] = annual_cost(
+                        series[year], book, level, schedules, stacks)
 
     return ConsumerStudy(scenario_set.consumer_id, years, flh, lf, levels, breakdowns)
 

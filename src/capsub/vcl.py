@@ -98,10 +98,6 @@ class VclSegmentStack:
     def segment_count(self) -> int:
         return int(self.widths_kw.size)
 
-    @property
-    def segments(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.widths_kw.tolist(), self.marginal_costs.tolist()))
-
 
 def build_segment_stack(params: VclCurveParams, peak_load_kw: float,
                         segment_count: int = DEFAULT_SEGMENT_COUNT) -> VclSegmentStack:

@@ -8,8 +8,9 @@ from capsub import (ConfigError, PolicyKind, ScenarioMismatch, SyntheticPopulati
                     default_tariff_bundle, generate_population, run_study,
                     run_study_from_manifest, build_manifest, write_load_csv,
                     write_study_outputs)
-from capsub import study
+from capsub import VclCurveParams, optimizer, stacks_for_scenarios, study
 from capsub.study import _policy_cost_total
+from capsub.tariff_engine import annual_cost
 
 
 def study_population(consumers=5, seed=17):
@@ -186,6 +187,62 @@ class TestWorkerCount:
                            threshold_kw=threshold, vcl_segments=10, jobs=8)
         assert pool_sizes == [2]
         assert pooled.consumers == serial.consumers
+
+
+class TestPricing:
+    """The optimizer only chooses levels; the study prices each row once with annual_cost."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"annual_cost": [], "optimize_expected": []}
+
+        def counting(name):
+            original = getattr(study, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(args)
+                return original(*args, **kwargs)
+            return wrapper
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study called expected_cost")
+
+        for name in calls:
+            monkeypatch.setattr(study, name, counting(name))
+        monkeypatch.setattr(optimizer, "expected_cost", refuse)
+        return calls
+
+    def test_each_row_priced_once_at_its_level(self, small_study, calls):
+        population, bundle, _, _ = small_study
+        two = population[:2]
+        result = run_study(two, bundle, policies=("det", "stoch", "reactive"),
+                           threshold_kw=pick_threshold(two), vcl_segments=10)
+        # consumers x regimes x (det years + stoch years + reactive years)
+        assert len(calls["annual_cost"]) == 2 * 2 * (3 + 3 + 2)
+        params = VclCurveParams(bundle.dynamic.voll, bundle.vcl_steepness)
+        for consumer, scenario_set in zip(result.consumers, two):
+            stacks = stacks_for_scenarios(scenario_set, params, 10)
+            priced = set()
+            for (regime, policy), rows in consumer.levels.items():
+                book = bundle.book(TariffRegime(regime))
+                for row_year, level in rows:
+                    for year in (row_year,) if row_year else consumer.years:
+                        series = scenario_set.scenario_for(year).series
+                        assert consumer.breakdowns[(regime, policy, year)] == annual_cost(
+                            series, book, level, result.schedules, stacks)
+                        priced.add((regime, policy, year))
+            assert priced == {key for key in consumer.breakdowns if key[0] != "energy"}
+
+    def test_reactive_only_optimizes_the_reused_years(self, small_study, calls):
+        population, bundle, _, _ = small_study
+        two = population[:2]
+        years = two[0].year_labels
+        run_study(two, bundle, policies=("reactive",), threshold_kw=pick_threshold(two),
+                  vcl_segments=10)
+        # each consumer and regime optimizes every year but the last, and nothing else
+        optimized = [args[0].year_labels for args in calls["optimize_expected"]]
+        assert optimized == [(year,) for _ in range(2 * 2) for year in years[:-1]]
+        assert len(calls["annual_cost"]) == 2 * 2 * 2
 
 
 class TestOutputsAndManifest:
