@@ -1,28 +1,38 @@
 """Optimal subscription levels for static and dynamic capacity subscription.
 
 Both expected-cost objectives are one-dimensional convex piecewise-linear
-functions of the subscription level, so the exact global optimum is found by
-evaluating every breakpoint candidate rather than by calling an LP solver.
-One kernel costs both from the tail energies T(t) = sum_i max(a_i - t, 0) of
-a scenario's sorted loads, in O(J log N) per candidate for N loads and J
-segments: the dynamic objective over active-hour loads and the discomfort
-stack, the static one over every hour with one segment at the excess fee.
+functions of the subscription level, so the exact global optimum is one of
+the breakpoint candidates and no LP solver is needed. One kernel costs both
+from the tail energies T(t) = sum_i max(a_i - t, 0) of a scenario's sorted
+loads, in O(J log N) per candidate for N loads and J segments: the dynamic
+objective over active-hour loads and the discomfort stack, the static one
+over every hour with one segment at the excess fee.
 
 Each objective decomposes as const(x_k) + capacity_price * x_k over the
-candidate levels, which lets calibration re-optimize cheaply while scanning
-capacity prices. Ties go to the smallest level: levels whose objective is
+candidate levels. Ties go to the smallest level: levels whose objective is
 within TIE_RTOL of the minimum count as tied, so rounding cannot pick the
 upper end of a flat piece.
 
-The optimizer only chooses levels (``optimize_expected``); ``tariff_engine``
-prices them. The public ``optimize_*`` wrappers add the policy and the
-expected cost breakdown at the level.
+``PreparedObjective`` sorts each scenario's loads once. Its ``argmin`` bisects
+the candidates on the objective's right slope, a weighted count of the loads
+above the level, and costs only a window of candidates around the crossing
+with the kernel's own formula, so each value is bit-identical to the full
+table's. The window grows until no level outside it can tie with its minimum,
+and the tie rule then picks the same level as on the full table. The study
+chooses every level this way (``optimize_expected``), sharing each year's
+preparation between its policies. Calibration still builds the full tables
+(``static_objective_lines``, ``dynamic_objective_lines``) once per consumer
+and scans them across prices.
+
+The optimizer only chooses levels; ``tariff_engine`` prices them. The public
+``optimize_*`` wrappers add the policy and the expected cost breakdown at the
+level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,31 +63,150 @@ def expected_exceedance_hours(scenario_set: ScenarioSet, level: float) -> float:
     ))
 
 
-def _tail_energy_lines(book: TariffBook, scenarios) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and constants of sum_s p_s (e * total_kwh + sum_j steps[j] * T(x + floors[j])).
+class PreparedYear:
+    """One scenario year's loads for the tail-energy kernel, sorted once.
 
-    ``scenarios`` holds (probability, total_kwh, loads, steps, floors); a cut
-    beyond floors[j] costs steps[j] more per kWh. Candidates are 0 and every
-    load minus a floor, where the objective changes slope.
+    A cut beyond floors[j] costs steps[j] more per kWh. ``loads`` keeps the
+    order given, from which the candidate levels are taken.
     """
-    candidates = [np.zeros(1)]
-    for _, _, loads, _, floors in scenarios:
-        shifted = loads[:, None] - floors[None, :]
-        candidates.append(shifted[shifted >= 0.0])
-    levels = np.unique(np.concatenate(candidates))
 
-    const = np.full(levels.shape, book.fixed_annual)
-    for probability, total_kwh, loads, steps, floors in scenarios:
-        loads = np.sort(loads)
-        suffix = np.append(np.cumsum(loads[::-1])[::-1], 0.0)
+    __slots__ = ("total_kwh", "loads", "steps", "floors", "sorted_loads", "suffix")
 
-        def tail_energy(t: np.ndarray) -> np.ndarray:
-            pos = np.searchsorted(loads, t, side="right")
-            return suffix[pos] - t * (loads.size - pos)
+    def __init__(self, total_kwh: float, loads: np.ndarray, steps: np.ndarray,
+                 floors: np.ndarray):
+        self.total_kwh, self.loads, self.steps, self.floors = total_kwh, loads, steps, floors
+        self.sorted_loads = np.sort(loads)
+        self.suffix = np.append(np.cumsum(self.sorted_loads[::-1])[::-1], 0.0)
 
-        cut_cost = sum(step * tail_energy(levels + floor) for step, floor in zip(steps, floors))
-        const += probability * (book.energy_price * total_kwh + cut_cost)
-    return levels, const
+    def tail_energy(self, t: np.ndarray) -> np.ndarray:
+        pos = self.sorted_loads.searchsorted(t, side="right")
+        return self.suffix[pos] - t * (self.sorted_loads.size - pos)
+
+    def cut_rate(self, level: float) -> float:
+        """sum_j steps[j] * #{a > level + floors[j]}: the cut cost saved per kW just above level."""
+        pos = self.sorted_loads.searchsorted(level + self.floors, side="right")
+        return float(self.steps @ (self.sorted_loads.size - pos))
+
+
+class PreparedObjective:
+    """sum_s p_s (e * total_kwh + sum_j steps[j] * T(x + floors[j])) + fixed, ready for any price.
+
+    ``levels`` ascend: 0 and every load minus a floor, where the objective
+    changes slope.
+    """
+
+    def __init__(self, book: TariffBook, years: Sequence[tuple[float, PreparedYear]]):
+        self.fixed_annual, self.energy_price = book.fixed_annual, book.energy_price
+        self.years = tuple(years)
+        candidates = [np.zeros(1)]
+        for _, year in self.years:
+            shifted = year.loads[:, None] - year.floors[None, :]
+            candidates.append(shifted[shifted >= 0.0])
+        self.levels = np.unique(np.concatenate(candidates))
+
+    def constants(self, levels: np.ndarray) -> np.ndarray:
+        """The capacity-free cost at each level; elementwise, so any subset costs the same bits."""
+        const = np.full(levels.shape, self.fixed_annual)
+        for probability, year in self.years:
+            cut_cost = sum(step * year.tail_energy(levels + floor)
+                           for step, floor in zip(year.steps, year.floors))
+            const += probability * (self.energy_price * year.total_kwh + cut_cost)
+        return const
+
+    def lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """The full table: every candidate level and its constant."""
+        return self.levels, self.constants(self.levels)
+
+    def crossing(self, price: float) -> int:
+        """Index of the first candidate whose right slope at ``price`` is not negative.
+
+        The right slope at x is price - sum_s p_s cut_rate_s(x). The computed
+        value rises with the level, so it can be bisected.
+        """
+        levels = self.levels
+        lo, hi = 0, levels.size - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            x = levels[mid]
+            if price - sum(p * year.cut_rate(x) for p, year in self.years) >= 0.0:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def argmin(self, price: float) -> float:
+        """The level ``_argmin_index`` picks on the full table at ``price``, from a window of it.
+
+        The window starts at candidates crossing - 4 to crossing + 4. It grows
+        while an edge that is not an end of the table lies within
+        2 * TIE_RTOL of the window's minimum; by convexity no level outside
+        it can then be below that minimum or tied with it.
+        """
+        levels = self.levels
+        k = self.crossing(price)
+        start, stop = max(k - 4, 0), min(k + 5, levels.size)
+        while True:
+            window = levels[start:stop]
+            values = self.constants(window) + price * window
+            best = float(values.min())
+            near = best + 2.0 * TIE_RTOL * abs(best)
+            grow_down = start > 0 and values[0] <= near
+            grow_up = stop < levels.size and values[-1] <= near
+            if not (grow_down or grow_up):
+                return float(window[_argmin_index(values)])
+            width = stop - start
+            if grow_down:
+                start = max(start - width, 0)
+            if grow_up:
+                stop = min(stop + width, levels.size)
+
+
+def prepare_years(series_list: Iterable[HourlyLoadSeries], book: TariffBook,
+                  schedules: Mapping[str, ActivationSchedule] | None = None,
+                  stacks: Mapping[str, VclSegmentStack] | None = None,
+                  ) -> dict[str, PreparedYear]:
+    """Each year's loads prepared for the book's objective, by year label.
+
+    Static uses every hour with one segment at the excess fee. Dynamic uses
+    the active hours, checked once against schedule, stack and book, and the
+    discomfort stack's segments: with energy fee e, segment costs m_j and
+    cumulative widths W_j (W_0 = 0), steps are m_j - m_{j-1} (m_0 = e) at
+    floors W_{j-1}, since a cut kWh saves e; the top segment absorbs every
+    cut beyond W_{J-1}.
+    """
+    if book.regime is TariffRegime.STATIC_CS:
+        if book.excess_price <= book.energy_price:
+            raise IllPosed("static optimization needs excess_price > energy_price")
+        steps = np.array([book.excess_price - book.energy_price])
+        floors = np.zeros(1)
+        return {s.year_label: PreparedYear(s.total_kwh, s.loads, steps, floors)
+                for s in series_list}
+    if book.regime is TariffRegime.DYNAMIC_CS:
+        years = {}
+        for s in series_list:
+            schedule, stack = schedule_and_stack(schedules, stacks, s.year_label)
+            active = active_loads(s, book, schedule, stack)
+            steps = np.diff(stack.marginal_costs, prepend=book.energy_price)
+            floors = np.append(0.0, np.cumsum(stack.widths_kw)[:-1])
+            years[s.year_label] = PreparedYear(s.total_kwh, active, steps, floors)
+        return years
+    raise DomainError("the energy-only tariff has no subscription level to optimize")
+
+
+def prepare_objective(scenario_set: ScenarioSet, book: TariffBook,
+                      schedules: Mapping[str, ActivationSchedule] | None = None,
+                      stacks: Mapping[str, VclSegmentStack] | None = None,
+                      prepared: Mapping[str, PreparedYear] | None = None) -> PreparedObjective:
+    """The set's objective under the book; ``prepared`` holds its years from ``prepare_years``.
+
+    Without ``prepared`` the years are prepared here; dynamic books then need
+    schedules and stacks.
+    """
+    if prepared is None:
+        prepared = prepare_years((sc.series for sc in scenario_set.scenarios), book,
+                                 schedules, stacks)
+    return PreparedObjective(book, [(sc.probability, prepared[sc.series.year_label])
+                                    for sc in scenario_set.scenarios])
 
 
 def static_objective_lines(scenario_set: ScenarioSet,
@@ -90,14 +219,7 @@ def static_objective_lines(scenario_set: ScenarioSet,
     load values across scenarios): every hour counts, with one segment at 0.
     """
     require_regime(book, TariffRegime.STATIC_CS)
-    if book.excess_price <= book.energy_price:
-        raise IllPosed("static optimization needs excess_price > energy_price")
-    steps = np.array([book.excess_price - book.energy_price])
-    floors = np.zeros(1)
-    return _tail_energy_lines(book, [
-        (sc.probability, sc.series.total_kwh, sc.series.loads, steps, floors)
-        for sc in scenario_set.scenarios
-    ])
+    return prepare_objective(scenario_set, book).lines()
 
 
 def dynamic_objective_lines(scenario_set: ScenarioSet, book: TariffBook,
@@ -109,21 +231,10 @@ def dynamic_objective_lines(scenario_set: ScenarioSet, book: TariffBook,
     Candidates are 0, every active-hour load, and each active-hour load minus
     whole segment widths (where the greedy discomfort fill changes slope).
     const[k] covers fixed, energy on served consumption and expected
-    discomfort at level x_k. With energy fee e, segment costs m_j and
-    cumulative widths W_j (W_0 = 0), a scenario adds
-    e * total_kwh + sum_j (m_j - m_{j-1}) * T(x_k + W_{j-1}), m_0 = e, over
-    its active loads, since a cut kWh saves e; the top segment absorbs every
-    cut beyond W_{J-1}.
+    discomfort at level x_k; ``prepare_years`` gives each scenario's terms.
     """
     require_regime(book, TariffRegime.DYNAMIC_CS)
-    scenarios = []
-    for sc in scenario_set.scenarios:
-        schedule, stack = schedule_and_stack(schedules, stacks, sc.series.year_label)
-        active = active_loads(sc.series, book, schedule, stack)
-        steps = np.diff(stack.marginal_costs, prepend=book.energy_price)
-        floors = np.append(0.0, np.cumsum(stack.widths_kw)[:-1])
-        scenarios.append((sc.probability, sc.series.total_kwh, active, steps, floors))
-    return _tail_energy_lines(book, scenarios)
+    return prepare_objective(scenario_set, book, schedules, stacks).lines()
 
 
 def objective_lines(scenario_set: ScenarioSet, book: TariffBook,
@@ -150,10 +261,14 @@ def _argmin_index(objective: np.ndarray) -> int:
 
 def optimize_expected(scenario_set: ScenarioSet, book: TariffBook,
                       schedules: Mapping[str, ActivationSchedule] | None = None,
-                      stacks: Mapping[str, VclSegmentStack] | None = None) -> float:
-    """Exact minimizing level of the expected cost (static) or welfare (dynamic) of the book."""
-    levels, const = objective_lines(scenario_set, book, schedules, stacks)
-    return float(levels[_argmin_index(const + book.capacity_price * levels)])
+                      stacks: Mapping[str, VclSegmentStack] | None = None,
+                      prepared: Mapping[str, PreparedYear] | None = None) -> float:
+    """Exact minimizing level of the expected cost (static) or welfare (dynamic) of the book.
+
+    ``prepared`` may hold the set's years from ``prepare_years`` with this book.
+    """
+    return prepare_objective(scenario_set, book, schedules, stacks,
+                             prepared).argmin(book.capacity_price)
 
 
 def _optimized(scenario_set: ScenarioSet, book: TariffBook, policy: PolicyKind,

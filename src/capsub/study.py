@@ -27,7 +27,7 @@ from .data_model import (CostBreakdown, PolicyKind, ScenarioSet, TariffRegime, f
                          load_factor)
 from .errors import ConfigError, DomainError
 from .ingest import checked_number, file_sha256, parse_load_csv, scenario_sets_from_series
-from .optimizer import optimize_expected
+from .optimizer import optimize_expected, prepare_years
 from .reporting import (aggregate_revenue_table, write_aggregate_revenue_csv,
                         write_annual_costs_csv, write_fullloadhours_csv,
                         write_loadfactor_scatter_csv, write_relative_cost_csv,
@@ -91,16 +91,20 @@ def _consumer_worker(args: tuple) -> ConsumerStudy:
         book = bundle.book(regime)
         name = regime.value
 
-        # perfect-foresight levels of the years that det or reactive use
+        # perfect-foresight levels of the years that det or reactive use; each
+        # year optimized under any policy is prepared once for all of them
         det_years = years if det in policies else years[:-1] if reactive in policies else ()
+        prepared = prepare_years([series[year] for year in
+                                  (years if stoch in policies else det_years)],
+                                 book, schedules, stacks)
         det_levels = {year: optimize_expected(ScenarioSet.equiprobable((series[year],)), book,
-                                              schedules, stacks)
+                                              schedules, stacks, prepared)
                       for year in det_years}
         if det in policies:
             levels[(name, det.value)] = tuple(det_levels.items())
         if stoch in policies:
             levels[(name, stoch.value)] = (
-                ("", optimize_expected(scenario_set, book, schedules, stacks)),)
+                ("", optimize_expected(scenario_set, book, schedules, stacks, prepared)),)
         if reactive in policies:
             # the previous year's perfect-foresight level, applied to the next year
             levels[(name, reactive.value)] = tuple(

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from capsub import (ActivationSchedule, DomainError, HourlyLoadSeries, IllPosed, LoadScenario,
                     PolicyKind, ScenarioMismatch, ScenarioSet, SyntheticPopulationSpec,
-                    TariffBook, VclCurveParams, build_segment_stack, derive_activations,
-                    dynamic_objective_lines, expected_cost, expected_exceedance_hours,
-                    generate_population, optimize_deterministic, optimize_dynamic,
-                    optimize_static, stacks_for_scenarios, static_objective_lines)
-from capsub.optimizer import TIE_RTOL, _argmin_index
+                    TariffBook, TariffRegime, VclCurveParams, build_segment_stack,
+                    default_tariff_bundle, derive_activations, dynamic_objective_lines,
+                    expected_cost, expected_exceedance_hours, generate_population,
+                    optimize_deterministic, optimize_dynamic, optimize_static, optimizer,
+                    run_study, stacks_for_scenarios, static_objective_lines, study)
+from capsub.optimizer import TIE_RTOL, _argmin_index, prepare_objective
 from capsub.tariff_engine import PEAK_MATCH_RTOL
 
 from conftest import make_series, singleton_set
@@ -497,3 +498,134 @@ class TestTieRule:
         levels = np.array([0.0, 1.0, 2.0, 3.0])
         objective = np.array([10.0, 5.0 * (1 + 0.5 * TIE_RTOL), 5.0, 5.0 * (1 + 2 * TIE_RTOL)])
         assert levels[_argmin_index(objective)] == 1.0
+
+
+def _rounded_loads(hours, decimals):
+    """Loads rounded to ``decimals`` places; about 30% of them are zero."""
+    value = st.tuples(st.integers(0, 9), st.floats(0.0, 10.0)).map(
+        lambda t: 0.0 if t[0] < 3 else round(t[1], decimals))
+    return st.lists(value, min_size=hours, max_size=hours)
+
+
+@st.composite
+def window_inputs(draw):
+    """A static or dynamic scenario set, its objective's arguments and a cluster of tied loads.
+
+    The cluster is a run of loads a few ulps apart in the first year (active
+    there, for dynamic books). Near a zero slope their costs differ by far
+    less than TIE_RTOL, so several candidates tie and the window must grow
+    to reach the first of them. Returns (scenario set, book, schedules,
+    stacks, cluster middle or None).
+    """
+    hours = draw(st.integers(1, 59))
+    n_years = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n_years, max_size=n_years))
+    decimals = draw(st.integers(0, 2))
+    dynamic = draw(st.booleans())
+    cluster = draw(st.integers(5, 15)) if draw(st.booleans()) and hours >= 15 else 0
+    segments = draw(st.integers(1, 5))
+    params = VclCurveParams(draw(st.floats(0.5, 10.0)), draw(st.floats(0.5, 20.0)))
+    if dynamic:
+        book = TariffBook.dynamic_cs(draw(st.sampled_from([0.0, 135.0])), 54.0, 0.005,
+                                     params.voll)
+    else:
+        book = TariffBook.static_cs(draw(st.sampled_from([0.0, 135.0])), 67.5, 0.005, 0.10)
+    scenarios, schedules, stacks = [], {}, {}
+    middle = None
+    for k in range(n_years):
+        year = str(2013 + k)
+        loads = np.array(draw(_rounded_loads(hours, decimals)))
+        loads[draw(st.integers(0, hours - 1))] += 0.5  # a positive peak for the stack
+        mode = draw(st.sampled_from(["none", "all", "some"]))
+        mask = (np.zeros(hours, bool) if mode == "none" else np.ones(hours, bool)
+                if mode == "all" else np.array(draw(st.lists(st.booleans(), min_size=hours,
+                                                             max_size=hours))))
+        if k == 0 and cluster:
+            base = draw(st.floats(0.5, 5.0))
+            loads[:cluster] = base * (1.0 + 2e-16 * np.arange(cluster))
+            mask[:cluster] = True
+            middle = float(loads[cluster // 2])
+        series = HourlyLoadSeries("c0", year, loads)
+        schedules[year] = ActivationSchedule(year, np.flatnonzero(mask))
+        stacks[year] = build_segment_stack(params, series.peak_kw, segments)
+        scenarios.append(LoadScenario(series, weights[k] / sum(weights)))
+    return ScenarioSet(tuple(scenarios)), book, schedules, stacks, middle
+
+
+def _table(scenario_set, book, schedules, stacks):
+    if book.regime is TariffRegime.STATIC_CS:
+        return static_objective_lines(scenario_set, book)
+    return dynamic_objective_lines(scenario_set, book, schedules, stacks)
+
+
+class TestWindowMatchesFullTable:
+    @settings(max_examples=300, deadline=None)
+    @given(window_inputs(), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    def test_same_level_bit_for_bit(self, inputs, fractions):
+        scenario_set, book, schedules, stacks, middle = inputs
+        objective = prepare_objective(scenario_set, book, schedules, stacks)
+        levels, const = _table(scenario_set, book, schedules, stacks)
+        np.testing.assert_array_equal(objective.levels, levels)
+
+        def slope_rate(x):
+            return sum(p * year.cut_rate(x) for p, year in objective.years)
+
+        # the steepest descent is at level 0; prices run from 0 to beyond it
+        steepest = slope_rate(0.0)
+        prices = [0.0, 1.5 * steepest + 1.0] + [f * 1.2 * steepest for f in fractions]
+        # a price equal to a piece's slope makes that piece flat
+        prices += [slope_rate(levels[len(levels) // 3]), slope_rate(levels[-2])
+                   if len(levels) > 1 else 0.0]
+        if middle is not None:
+            prices.append(slope_rate(middle))
+        for price in prices:
+            expected = float(levels[_argmin_index(const + price * levels)])
+            assert objective.argmin(price).hex() == expected.hex(), price
+
+    def test_window_grows_to_the_first_tied_level(self, static_book):
+        # 40 loads a few ulps apart: at the price where the slope crosses zero
+        # among them, all 40 cost the same to within TIE_RTOL, and the first
+        # lies far below the initial window
+        loads = np.concatenate([np.full(200, 1.0), 3.0 * (1.0 + 2e-16 * np.arange(40)),
+                                np.full(100, 4.0)])
+        ss = singleton_set(make_series(loads))
+        objective = prepare_objective(ss, static_book)
+        levels, const = static_objective_lines(ss, static_book)
+        price = sum(p * year.cut_rate(levels[30]) for p, year in objective.years)
+        expected = levels[_argmin_index(const + price * levels)]
+        crossing = objective.crossing(price)
+        assert np.flatnonzero(levels == expected)[0] < crossing - 4
+        assert objective.argmin(price) == expected
+
+
+class TestStudyBuildsNoFullTable:
+    def test_same_study_result_with_the_tables_refused(self, monkeypatch):
+        spec = SyntheticPopulationSpec(
+            consumer_count=3, years=("2015", "2016"), rng_seed=5, base_load_kw=0.9,
+            seasonal_amplitude=2.2, daily_amplitude=1.2, spike_rate=40.0,
+            spike_magnitude=3.0, noise_amplitude=0.3, cold_year_factor=(0.95, 1.25))
+        population = generate_population(spec)
+        bundle = default_tariff_bundle()
+
+        def run():
+            return run_study(population, bundle, policies=("det", "stoch", "reactive"),
+                             threshold_kw=8.0, vcl_segments=10)
+
+        def table_level(scenario_set, book, schedules=None, stacks=None, prepared=None):
+            levels, const = optimizer.objective_lines(scenario_set, book, schedules, stacks)
+            return float(levels[_argmin_index(const + book.capacity_price * levels)])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(study, "optimize_expected", table_level)
+            expected = run()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study built a full objective table")
+
+        monkeypatch.setattr(optimizer, "static_objective_lines", refuse)
+        monkeypatch.setattr(optimizer, "dynamic_objective_lines", refuse)
+        got = run()
+        assert got.consumers == expected.consumers
+        assert (got.policies, got.regimes) == (expected.policies, expected.regimes)
+        assert got.schedules.keys() == expected.schedules.keys()
+        assert any(s.count for s in got.schedules.values())

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from capsub import (ConfigError, PolicyKind, ScenarioMismatch, SyntheticPopulationSpec,
-                    TariffRegime,
+from capsub import (ConfigError, PolicyKind, ScenarioMismatch, ScenarioSet,
+                    SyntheticPopulationSpec, TariffRegime, expected_exceedance_hours,
                     default_tariff_bundle, generate_population, run_study,
                     run_study_from_manifest, build_manifest, write_load_csv,
                     write_study_outputs)
@@ -243,6 +244,38 @@ class TestPricing:
         optimized = [args[0].year_labels for args in calls["optimize_expected"]]
         assert optimized == [(year,) for _ in range(2 * 2) for year in years[:-1]]
         assert len(calls["annual_cost"]) == 2 * 2 * 2
+
+
+class TestStaticOptimalityCondition:
+    """The paper's first-order condition, an oracle independent of the optimizer.
+
+    At the optimal static level x, (excess - energy) * E[#{load > x}] <= c
+    <= (excess - energy) * E[#{load >= x}] for capacity price c; at x = 0 only
+    the left half holds. Compared exactly.
+    """
+
+    @pytest.mark.parametrize("price", [0.0, 1.0, 10.0, 54.0, 89.87150561137764, 250.0,
+                                       1000.0, 1e4])
+    def test_every_static_level_of_the_criterion_9_study(self, price):
+        population = study_population(consumers=6, seed=404)
+        bundle = default_tariff_bundle()
+        bundle = bundle.with_book(replace(bundle.static, capacity_price=price))
+        result = run_study(population, bundle, policies=("det", "stoch"), regimes=("static",),
+                           threshold_kw=24.0)
+        spread = bundle.static.excess_price - bundle.static.energy_price
+        checked = 0
+        for consumer, scenario_set in zip(result.consumers, population):
+            for policy in ("det", "stoch"):
+                for year, level in consumer.levels[("static", policy)]:
+                    ss = ScenarioSet.equiprobable((scenario_set.scenario_for(year).series,)) \
+                        if year else scenario_set
+                    at_or_above = float(sum(
+                        sc.probability * int(np.count_nonzero(sc.series.loads >= level))
+                        for sc in ss.scenarios))
+                    assert spread * expected_exceedance_hours(ss, level) <= price
+                    assert level == 0.0 or price <= spread * at_or_above
+                    checked += 1
+        assert checked == 6 * (3 + 1)
 
 
 class TestOutputsAndManifest:
