@@ -83,7 +83,7 @@ class PreparedYear:
         return self.suffix[pos] - t * (self.sorted_loads.size - pos)
 
     def cut_rate(self, level: float) -> float:
-        """sum_j steps[j] * #{a > level + floors[j]}: the cut cost saved per kW just above level."""
+        """sum_j steps[j] * #{a > level + floors[j]}: cut cost saved per kW just above level."""
         pos = self.sorted_loads.searchsorted(level + self.floors, side="right")
         return float(self.steps @ (self.sorted_loads.size - pos))
 

@@ -19,9 +19,10 @@ as perfbench's study digest does.
 
 Without ``--paper-scale`` the script runs the tier-1 recipes, or the one
 named by ``--recipe``. Add ``--write`` to either form to rewrite the entries
-of the recipes it ran instead of comparing them. The comparison is exact; each entry records the Python and
-numpy versions it was written with. If another platform gives other bits,
-report it rather than loosening the comparison.
+of the recipes it ran instead of comparing them. The comparison is exact;
+each entry records the Python and numpy versions it was written with. If
+another platform gives other bits, report it rather than loosening the
+comparison.
 """
 
 from __future__ import annotations

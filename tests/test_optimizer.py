@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from capsub import (ActivationSchedule, DomainError, HourlyLoadSeries, IllPosed, LoadScenario,
                     PolicyKind, ScenarioMismatch, ScenarioSet, SyntheticPopulationSpec,
-                    TariffBook, TariffRegime, VclCurveParams, build_segment_stack,
+                    TariffBook, VclCurveParams, build_segment_stack,
                     default_tariff_bundle, derive_activations, dynamic_objective_lines,
                     expected_cost, expected_exceedance_hours, generate_population,
                     optimize_deterministic, optimize_dynamic, optimize_static, optimizer,
@@ -552,19 +552,13 @@ def window_inputs(draw):
     return ScenarioSet(tuple(scenarios)), book, schedules, stacks, middle
 
 
-def _table(scenario_set, book, schedules, stacks):
-    if book.regime is TariffRegime.STATIC_CS:
-        return static_objective_lines(scenario_set, book)
-    return dynamic_objective_lines(scenario_set, book, schedules, stacks)
-
-
 class TestWindowMatchesFullTable:
     @settings(max_examples=300, deadline=None)
     @given(window_inputs(), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
     def test_same_level_bit_for_bit(self, inputs, fractions):
         scenario_set, book, schedules, stacks, middle = inputs
         objective = prepare_objective(scenario_set, book, schedules, stacks)
-        levels, const = _table(scenario_set, book, schedules, stacks)
+        levels, const = optimizer.objective_lines(scenario_set, book, schedules, stacks)
         np.testing.assert_array_equal(objective.levels, levels)
 
         def slope_rate(x):
