@@ -20,8 +20,8 @@ from .data_model import PolicyKind, TariffRegime
 from .errors import CalibrationFailed, CapsubError, ConfigError
 from .ingest import (SyntheticPopulationSpec, generate_population, parse_load_csv,
                      scenario_sets_from_series, write_load_csv)
-from .study import (CS_REGIMES, build_manifest, run_manifest, run_study_from_manifest,
-                    write_study_outputs)
+from .study import (CS_REGIMES, MIN_CONSUMER_YEARS_PER_WORKER, build_manifest, run_manifest,
+                    run_study_from_manifest, write_study_outputs)
 from .vcl import DEFAULT_SEGMENT_COUNT, VclCurveParams, stacks_for_scenarios
 
 EXIT_OK = 0
@@ -73,8 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=f"discomfort-curve segments (default {DEFAULT_SEGMENT_COUNT})")
     stu.add_argument("--seed", type=int, help="recorded in the manifest for provenance")
     stu.add_argument("--jobs", type=int, default=1,
-                     help="upper bound on worker processes: at most one per 4 consumers, and "
-                          "4 or fewer run in-process (output is identical for any value)")
+                     help=f"upper bound on worker processes: at most one per "
+                          f"{MIN_CONSUMER_YEARS_PER_WORKER} consumer-years and per 4 consumers, "
+                          f"in-process below {2 * MIN_CONSUMER_YEARS_PER_WORKER} consumer-years "
+                          "(output is identical for any value)")
     stu.add_argument("--out", required=True, help="output directory")
     stu.add_argument("--from-manifest",
                      help="re-run a previous study from its study.json (with --jobs, --out only)")

@@ -7,9 +7,10 @@ policy, year) combination once with ``annual_cost`` and writes the reporting
 tables plus a manifest sufficient to reproduce the run exactly.
 
 Per-consumer work is independent and runs in worker processes when requested
-and the population is large enough to give more than one of them work; the
-collected results and all file output are ordered canonically so the output
-bytes do not depend on the degree of parallelism.
+and the population holds enough consumer-years (``MIN_CONSUMER_YEARS_PER_WORKER``
+per worker) to pay for starting more than one of them; the collected results
+and all file output are ordered canonically so the output bytes do not depend
+on the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ CS_REGIMES = (TariffRegime.STATIC_CS, TariffRegime.DYNAMIC_CS)
 BASELINE_POLICY = "baseline"
 # consumers handed to a pool worker at a time
 _CHUNK_CONSUMERS = 4
+# consumer-years a worker must get to pay for its start (measured crossover on
+# two CPUs: below about this many per worker, in-process runs are as fast)
+MIN_CONSUMER_YEARS_PER_WORKER = 48
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,12 @@ def _regimes(names) -> tuple[TariffRegime, ...]:
         _member(CS_REGIMES, r, "regimes: unknown capacity-subscription regime") for r in names))
 
 
+def _worker_count(jobs: int, consumer_years: int, consumers: int) -> int:
+    """Workers worth starting: each gets a chunk and its minimum of consumer-years."""
+    return min(jobs, consumer_years // MIN_CONSUMER_YEARS_PER_WORKER,
+               -(-consumers // _CHUNK_CONSUMERS))
+
+
 def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
               policies: Sequence[str | PolicyKind],
               regimes: Sequence[str | TariffRegime] = CS_REGIMES,
@@ -145,9 +155,11 @@ def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
 
     ``policies`` and ``regimes`` (capacity-subscription only) are named as the
     manifest records them, or given as PolicyKind and TariffRegime members.
-    ``jobs`` bounds the worker processes: at most one is started per 4
-    consumers (``_CHUNK_CONSUMERS``), so 4 or fewer consumers run in-process.
-    The result is the same for any ``jobs``.
+    ``jobs`` bounds the worker processes: at most one is started per
+    ``MIN_CONSUMER_YEARS_PER_WORKER`` consumer-years and per chunk of
+    ``_CHUNK_CONSUMERS`` consumers, and the study runs in-process when that
+    allows only one (see ``_worker_count``). The result is the same for any
+    ``jobs``.
     """
     if jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {jobs}")
@@ -165,7 +177,8 @@ def run_study(population: Sequence[ScenarioSet], bundle: TariffBundle, *,
     ordered = sorted(population, key=lambda s: s.consumer_id)
     work = [(consumer, bundle, schedules, policies, regimes, vcl_segments)
             for consumer in ordered]
-    workers = min(jobs, -(-len(work) // _CHUNK_CONSUMERS))
+    workers = _worker_count(jobs, sum(len(consumer.year_labels) for consumer in ordered),
+                            len(ordered))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             consumers = tuple(pool.map(_consumer_worker, work, chunksize=_CHUNK_CONSUMERS))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capsub import HourlyLoadSeries, LoadScenario, ScenarioSet, TariffBook
+from capsub import HourlyLoadSeries, LoadScenario, ScenarioSet, TariffBook, study
 
 
 @pytest.fixture
@@ -35,3 +35,24 @@ def series_factory():
 @pytest.fixture
 def singleton_factory():
     return singleton_set
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every pool a study starts, in order."""
+    sizes = []
+
+    class RecordingPool(study.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(study, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.fixture
+def small_pools(monkeypatch, pool_sizes):
+    """Lets a study of a few consumer-years start a pool; returns ``pool_sizes``."""
+    monkeypatch.setattr(study, "MIN_CONSUMER_YEARS_PER_WORKER", 1)
+    return pool_sizes

@@ -300,7 +300,7 @@ def test_criterion_8_convexity_audit():
     report(8, "non-decreasing slopes on 100 random instances, both objectives")
 
 
-def test_criterion_9_study_determinism(tmp_path):
+def test_criterion_9_study_determinism(tmp_path, small_pools):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text("""{
         "consumer_count": 6, "years": ["2015", "2016", "2017"], "rng_seed": 404,
@@ -328,4 +328,6 @@ def test_criterion_9_study_determinism(tmp_path):
         for name in base_names:
             assert (first / name).read_bytes() == (rerun / name).read_bytes(), \
                 f"--jobs {jobs} changed {name}"
+    # 6 consumers are 2 chunks of 4: the --jobs 2 and 3 reruns each start 2 workers
+    assert small_pools == [2, 2]
     report(9, "study rerun from manifest byte-identical at jobs 1, 2 and 3")

@@ -328,13 +328,15 @@ class TestTwin:
         return {path.relative_to(out): path.read_bytes()
                 for path in sorted(out.rglob("*")) if path.is_file()}
 
-    def test_cold_and_warm_runs_are_byte_identical(self, tmp_path, capsys):
-        # 5 consumers are 2 chunks of 4, so the --jobs 2 rerun starts a pool
+    def test_cold_and_warm_runs_are_byte_identical(self, tmp_path, capsys, small_pools):
+        # 5 consumers are 2 chunks of 4, and with a minimum of one consumer-year per
+        # worker the --jobs 2 rerun starts a pool
         spec = small_spec_file(tmp_path, consumer_count=5)
         assert run_cli(capsys, "generate", "--spec", str(spec), "--out", str(tmp_path))[0] == 0
         loads = tmp_path / "loads.csv"
         cold = self.pipeline(capsys, loads, tmp_path / "cold", cold=True)
         warm = self.pipeline(capsys, loads, tmp_path / "warm", cold=False)
+        assert small_pools == [2, 2]
         assert cold == warm
         study = {path.name: data for path, data in cold.items() if path.parts[0] == "study"}
         for jobs in ("1", "2"):

@@ -14,10 +14,10 @@ from capsub.study import _policy_cost_total
 from capsub.tariff_engine import annual_cost
 
 
-def study_population(consumers=5, seed=17):
+def study_population(consumers=5, seed=17, years=("2015", "2016", "2017")):
     spec = SyntheticPopulationSpec(
         consumer_count=consumers,
-        years=("2015", "2016", "2017"),
+        years=years,
         rng_seed=seed,
         base_load_kw=0.9,
         seasonal_amplitude=2.2,
@@ -25,7 +25,7 @@ def study_population(consumers=5, seed=17):
         spike_rate=40.0,
         spike_magnitude=3.0,
         noise_amplitude=0.3,
-        cold_year_factor=(0.95, 1.25, 1.05),
+        cold_year_factor=(0.95, 1.25, 1.05)[:len(years)],
     )
     return generate_population(spec)
 
@@ -136,10 +136,11 @@ class TestRunStudy:
             run_study(population, bundle, policies=("stoch",), regimes=(regime,),
                       threshold_kw=threshold)
 
-    def test_parallel_equals_serial(self, small_study, tmp_path):
+    def test_parallel_equals_serial(self, small_study, small_pools, tmp_path):
         population, bundle, threshold, result = small_study
         parallel = run_study(population, bundle, policies=("det", "stoch", "reactive"),
                              threshold_kw=threshold, vcl_segments=10, jobs=2)
+        assert small_pools == [2]
         out_serial = tmp_path / "serial"
         out_parallel = tmp_path / "parallel"
         write_study_outputs(result, out_serial)
@@ -157,37 +158,66 @@ class TestRunStudy:
 
 
 class TestWorkerCount:
-    """At most one worker per chunk of 4 consumers; a single chunk runs in-process."""
+    """One worker per MIN_CONSUMER_YEARS_PER_WORKER consumer-years and per chunk of 4
+    consumers, at most ``jobs``; a study that allows one runs in-process."""
 
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
+    MIN = study.MIN_CONSUMER_YEARS_PER_WORKER
 
-        class RecordingPool(study.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
+    @pytest.mark.parametrize("jobs, consumer_years, consumers, workers", [
+        (8, 2 * MIN - 1, 1000, 1),
+        (8, 2 * MIN, 1000, 2),
+        (8, 3 * MIN, 1000, 3),
+        (2, 10 * MIN, 1000, 2),
+        (1, 10 * MIN, 1000, 1),
+    ])
+    def test_worker_count(self, jobs, consumer_years, consumers, workers):
+        assert study._worker_count(jobs, consumer_years, consumers) == workers
 
-        monkeypatch.setattr(study, "ProcessPoolExecutor", RecordingPool)
-        return sizes
+    # with a minimum of one consumer-year per worker, the chunks of 4 bound the pool
 
-    def test_four_consumers_start_no_pool(self, small_study, pool_sizes):
+    def test_four_consumers_start_no_pool(self, small_study, small_pools):
         population, bundle, _, _ = small_study
         four = population[:4]
         threshold = pick_threshold(four)
         runs = [run_study(four, bundle, policies=("det", "stoch", "reactive"),
                           threshold_kw=threshold, vcl_segments=10, jobs=jobs)
                 for jobs in (8, 1)]
-        assert pool_sizes == []
+        assert small_pools == []
         assert runs[0].consumers == runs[1].consumers
 
-    def test_five_consumers_start_two_workers(self, small_study, pool_sizes):
+    def test_five_consumers_start_two_workers(self, small_study, small_pools):
         population, bundle, threshold, serial = small_study
         assert len(population) == 5
         pooled = run_study(population, bundle, policies=("det", "stoch", "reactive"),
                            threshold_kw=threshold, vcl_segments=10, jobs=8)
-        assert pool_sizes == [2]
+        assert small_pools == [2]
         assert pooled.consumers == serial.consumers
+
+    def test_small_population_starts_no_pool(self, small_study, pool_sizes):
+        population, bundle, threshold, serial = small_study
+        assert len(population) * len(serial.years) < 2 * self.MIN
+        for jobs in (1, 2, 8):
+            run = run_study(population, bundle, policies=("det", "stoch", "reactive"),
+                            threshold_kw=threshold, vcl_segments=10, jobs=jobs)
+            assert run.consumers == serial.consumers
+        assert pool_sizes == []
+
+    def test_two_minimums_start_two_workers(self, pool_sizes):
+        # two years per consumer: MIN consumers hold exactly 2 * MIN consumer-years
+        population = study_population(consumers=self.MIN, years=("2015", "2016"))
+        bundle = default_tariff_bundle()
+        threshold = pick_threshold(population)
+
+        def run(consumers, jobs):
+            return run_study(consumers, bundle, policies=("det", "stoch", "reactive"),
+                             threshold_kw=threshold, vcl_segments=10, jobs=jobs).consumers
+
+        serial = run(population, 1)
+        assert pool_sizes == []
+        assert run(population, 8) == serial
+        assert pool_sizes == [2]
+        assert run(population[1:], 8) == run(population[1:], 1)
+        assert pool_sizes == [2]
 
 
 class TestPricing:
@@ -309,7 +339,7 @@ class TestOutputsAndManifest:
                 total += float(monetary)
         assert total == pytest.approx(per_consumer, rel=1e-9)
 
-    def test_manifest_rerun_reproduces_bytes(self, small_study, tmp_path):
+    def test_manifest_rerun_reproduces_bytes(self, small_study, small_pools, tmp_path):
         population, bundle, threshold, result = small_study
         series = [sc.series for c in population for sc in c.scenarios]
         loads_csv = tmp_path / "loads.csv"
@@ -321,6 +351,7 @@ class TestOutputsAndManifest:
         out1 = tmp_path / "run1"
         write_study_outputs(result, out1, manifest)
         rerun, manifest2 = run_study_from_manifest(out1 / "study.json", jobs=2)
+        assert small_pools == [2]
         out2 = tmp_path / "run2"
         write_study_outputs(rerun, out2, manifest2)
         files1 = sorted(p.name for p in out1.iterdir())
