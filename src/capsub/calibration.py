@@ -10,12 +10,14 @@ physical limitation shifts part of the burden into non-monetary welfare loss.
 Each consumer's optimized cost is the pointwise minimum of lines
 const_k + price * level_k over its candidate subscription levels, so the
 aggregate A(p) is concave, piecewise-linear and non-decreasing in the price.
-The lines are precomputed once. From p = 0, each step sums the lines the
-optimizer's tie rule picks at p and moves to the price where that sum meets
-the reference R. Every line lies on or above its consumer's envelope at
-every price, so A never exceeds R at the new price: the steps rise
-monotonically and stop on the piece of A that holds R, at the smallest price
-whose aggregate reaches it. A zero slope below R means no price reaches it.
+Each consumer's objective is prepared once; at each trial price its
+``argmin`` costs only a window of the lines around the optimum. From p = 0,
+each step sums the lines the optimizer's tie rule picks at p and moves to
+the price where that sum meets the reference R. Every line lies on or above
+its consumer's envelope at every price, so A never exceeds R at the new
+price: the steps rise monotonically and stop on the piece of A that holds
+R, at the smallest price whose aggregate reaches it. A zero slope below R
+means no price reaches it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Mapping, Sequence
 from .activation import ActivationSchedule
 from .data_model import ScenarioSet, TariffBook, TariffRegime
 from .errors import CalibrationFailed, DomainError
-from .optimizer import _argmin_index, objective_lines
+from .optimizer import objective_lines
 from .tariff_engine import expected_cost
 from .vcl import VclSegmentStack
 
@@ -54,9 +56,9 @@ class CalibrationOutcome:
     trace: tuple[tuple[float, float], ...]
 
 
-def _consumer_lines(population, base_book, schedules, stacks_by_consumer):
+def _consumer_objectives(population, base_book, schedules, stacks_by_consumer):
     stacks_by_consumer = stacks_by_consumer or [None] * len(population)
-    return [objective_lines(consumer, base_book, schedules, stacks)
+    return [objective_lines(consumer, base_book, schedules, stacks)[1]
             for consumer, stacks in zip(population, stacks_by_consumer, strict=True)]
 
 
@@ -85,17 +87,16 @@ def calibrate_capacity_price(population: Sequence[ScenarioSet],
     if not population:
         raise DomainError("population must not be empty")
 
-    lines = _consumer_lines(population, base_book, schedules, stacks_by_consumer)
+    objectives = _consumer_objectives(population, base_book, schedules, stacks_by_consumer)
     trace: list[tuple[float, float]] = []
 
     def evaluate(price: float) -> tuple[float, float]:
         """Aggregate cost and slope of the levels the optimizer picks at ``price``."""
         aggregate = slope = 0.0
-        for levels, const in lines:
-            objective = const + price * levels
-            k = _argmin_index(objective)
-            aggregate += float(objective[k])
-            slope += float(levels[k])
+        for objective in objectives:
+            level, value = objective.argmin(price)
+            aggregate += value
+            slope += level
         trace.append((price, aggregate))
         return aggregate, slope
 

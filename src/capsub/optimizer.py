@@ -13,16 +13,17 @@ candidate levels. Ties go to the smallest level: levels whose objective is
 within TIE_RTOL of the minimum count as tied, so rounding cannot pick the
 upper end of a flat piece.
 
-``PreparedObjective`` sorts each scenario's loads once. Its ``argmin`` bisects
-the candidates on the objective's right slope, a weighted count of the loads
-above the level, and costs only a window of candidates around the crossing
-with the kernel's own formula, so each value is bit-identical to the full
-table's. The window grows until no level outside it can tie with its minimum,
-and the tie rule then picks the same level as on the full table. The study
-chooses every level this way (``optimize_expected``), sharing each year's
-preparation between its policies. Calibration still builds the full tables
-(``static_objective_lines``, ``dynamic_objective_lines``) once per consumer
-and scans them across prices.
+``PreparedObjective`` sorts each scenario's loads once. Its ``argmin`` probes
+the objective's right slope, a weighted count of the loads above the level,
+at every sqrt(L)-th of L candidates. It costs only the window of candidates
+where the slope stops being negative, with the kernel's own formula, so each
+value is bit-identical to the full table's. The window grows until no level
+outside it can tie with its minimum, and the tie rule then picks the same
+level as on the full table. The study chooses every level this way
+(``optimize_expected``), sharing each year's preparation between its
+policies; calibration prepares each consumer's objective once
+(``static_objective_lines``, ``dynamic_objective_lines``) and takes its
+argmin at every trial price.
 
 The optimizer only chooses levels; ``tariff_engine`` prices them. The public
 ``optimize_*`` wrappers add the policy and the expected cost breakdown at the
@@ -31,6 +32,7 @@ level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -78,15 +80,6 @@ class PreparedYear:
         self.sorted_loads = np.sort(loads)
         self.suffix = np.append(np.cumsum(self.sorted_loads[::-1])[::-1], 0.0)
 
-    def tail_energy(self, t: np.ndarray) -> np.ndarray:
-        pos = self.sorted_loads.searchsorted(t, side="right")
-        return self.suffix[pos] - t * (self.sorted_loads.size - pos)
-
-    def cut_rate(self, level: float) -> float:
-        """sum_j steps[j] * #{a > level + floors[j]}: cut cost saved per kW just above level."""
-        pos = self.sorted_loads.searchsorted(level + self.floors, side="right")
-        return float(self.steps @ (self.sorted_loads.size - pos))
-
 
 class PreparedObjective:
     """sum_s p_s (e * total_kwh + sum_j steps[j] * T(x + floors[j])) + fixed, ready for any price.
@@ -105,11 +98,18 @@ class PreparedObjective:
         self.levels = np.unique(np.concatenate(candidates))
 
     def constants(self, levels: np.ndarray) -> np.ndarray:
-        """The capacity-free cost at each level; elementwise, so any subset costs the same bits."""
+        """The capacity-free cost at each level; elementwise, so any subset costs the same bits.
+
+        One searchsorted per year over the levels x segments grid. The
+        segments add left to right, as a running sum, so the result does not
+        depend on how many levels are costed together.
+        """
         const = np.full(levels.shape, self.fixed_annual)
         for probability, year in self.years:
-            cut_cost = sum(step * year.tail_energy(levels + floor)
-                           for step, floor in zip(year.steps, year.floors))
+            shifted = levels[:, None] + year.floors
+            pos = year.sorted_loads.searchsorted(shifted, side="right")
+            tail = year.suffix[pos] - shifted * (year.sorted_loads.size - pos)
+            cut_cost = np.add.accumulate(year.steps * tail, axis=1)[:, -1]
             const += probability * (self.energy_price * year.total_kwh + cut_cost)
         return const
 
@@ -117,34 +117,32 @@ class PreparedObjective:
         """The full table: every candidate level and its constant."""
         return self.levels, self.constants(self.levels)
 
-    def crossing(self, price: float) -> int:
-        """Index of the first candidate whose right slope at ``price`` is not negative.
+    def _slopes(self, price: float, levels: np.ndarray) -> np.ndarray:
+        """The right slope price - sum_s p_s sum_j steps[j] * #{a_s > x + floors[j]} at each x."""
+        rate = 0.0
+        for probability, year in self.years:
+            pos = year.sorted_loads.searchsorted(levels[:, None] + year.floors, side="right")
+            rate = rate + probability * ((year.sorted_loads.size - pos) @ year.steps)
+        return price - rate
 
-        The right slope at x is price - sum_s p_s cut_rate_s(x). The computed
-        value rises with the level, so it can be bisected.
+    def argmin(self, price: float) -> tuple[float, float]:
+        """The level ``_argmin_index`` picks on the full table at ``price``, and its value there.
+
+        Both come from a window of the table. Every ceil(sqrt(L))-th of the L
+        candidates is probed for its right slope; by convexity the minimum
+        lies between the last probe where the slope is negative and the
+        first where it is not, and the window runs from the former to one
+        candidate past the latter. It grows while an edge that is not an end
+        of the table lies within 2 * TIE_RTOL of the window's minimum; by
+        convexity no level outside it can then be below that minimum or tied
+        with it, however the probes' slopes round. The value is
+        const + price * level, bit for bit as in the table.
         """
         levels = self.levels
-        lo, hi = 0, levels.size - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            x = levels[mid]
-            if price - sum(p * year.cut_rate(x) for p, year in self.years) >= 0.0:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def argmin(self, price: float) -> float:
-        """The level ``_argmin_index`` picks on the full table at ``price``, from a window of it.
-
-        The window starts at candidates crossing - 4 to crossing + 4. It grows
-        while an edge that is not an end of the table lies within
-        2 * TIE_RTOL of the window's minimum; by convexity no level outside
-        it can then be below that minimum or tied with it.
-        """
-        levels = self.levels
-        k = self.crossing(price)
-        start, stop = max(k - 4, 0), min(k + 5, levels.size)
+        probes = np.arange(0, levels.size, math.isqrt(levels.size - 1) + 1)
+        below = int(np.count_nonzero(self._slopes(price, levels[probes]) < 0.0))
+        start = int(probes[below - 1]) if below else 0
+        stop = min(int(probes[below]) + 2, levels.size) if below < probes.size else levels.size
         while True:
             window = levels[start:stop]
             values = self.constants(window) + price * window
@@ -153,7 +151,8 @@ class PreparedObjective:
             grow_down = start > 0 and values[0] <= near
             grow_up = stop < levels.size and values[-1] <= near
             if not (grow_down or grow_up):
-                return float(window[_argmin_index(values)])
+                k = _argmin_index(values)
+                return float(window[k]), float(values[k])
             width = stop - start
             if grow_down:
                 start = max(start - width, 0)
@@ -210,38 +209,47 @@ def prepare_objective(scenario_set: ScenarioSet, book: TariffBook,
 
 
 def static_objective_lines(scenario_set: ScenarioSet,
-                           book: TariffBook) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate levels and capacity-free cost constants for the static objective.
+                           book: TariffBook) -> tuple[np.ndarray, PreparedObjective]:
+    """Candidate levels and the prepared static objective over them.
 
     The expected static cost at candidate level x_k under capacity price c is
-    exactly const[k] + c * x_k; levels are sorted ascending and enumerate
+    exactly const(x_k) + c * x_k; levels are sorted ascending and enumerate
     every vertex of the piecewise-linear objective (0 plus all distinct
     load values across scenarios): every hour counts, with one segment at 0.
+    No constant is computed here; ``lines()`` gives the full table. The
+    benchmark's tracer (``perfbench/spans.py``) wraps this name and the
+    dynamic one and counts the levels they return.
     """
     require_regime(book, TariffRegime.STATIC_CS)
-    return prepare_objective(scenario_set, book).lines()
+    objective = prepare_objective(scenario_set, book)
+    return objective.levels, objective
 
 
 def dynamic_objective_lines(scenario_set: ScenarioSet, book: TariffBook,
                             schedules: Mapping[str, ActivationSchedule],
                             stacks: Mapping[str, VclSegmentStack],
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate levels and capacity-free cost constants for the dynamic objective.
+                            ) -> tuple[np.ndarray, PreparedObjective]:
+    """Candidate levels and the prepared dynamic objective over them.
 
     Candidates are 0, every active-hour load, and each active-hour load minus
     whole segment widths (where the greedy discomfort fill changes slope).
-    const[k] covers fixed, energy on served consumption and expected
+    const(x_k) covers fixed, energy on served consumption and expected
     discomfort at level x_k; ``prepare_years`` gives each scenario's terms.
+    No constant is computed here; ``lines()`` gives the full table.
     """
     require_regime(book, TariffRegime.DYNAMIC_CS)
-    return prepare_objective(scenario_set, book, schedules, stacks).lines()
+    objective = prepare_objective(scenario_set, book, schedules, stacks)
+    return objective.levels, objective
 
 
 def objective_lines(scenario_set: ScenarioSet, book: TariffBook,
                     schedules: Mapping[str, ActivationSchedule] | None = None,
                     stacks: Mapping[str, VclSegmentStack] | None = None,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate lines of the book's regime; dynamic books need schedules and stacks."""
+                    ) -> tuple[np.ndarray, PreparedObjective]:
+    """The levels and prepared objective of the book's regime.
+
+    Dynamic books need schedules and stacks.
+    """
     if book.regime is TariffRegime.STATIC_CS:
         return static_objective_lines(scenario_set, book)
     if book.regime is TariffRegime.DYNAMIC_CS:
@@ -268,7 +276,7 @@ def optimize_expected(scenario_set: ScenarioSet, book: TariffBook,
     ``prepared`` may hold the set's years from ``prepare_years`` with this book.
     """
     return prepare_objective(scenario_set, book, schedules, stacks,
-                             prepared).argmin(book.capacity_price)
+                             prepared).argmin(book.capacity_price)[0]
 
 
 def _optimized(scenario_set: ScenarioSet, book: TariffBook, policy: PolicyKind,

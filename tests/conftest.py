@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from capsub import HourlyLoadSeries, LoadScenario, ScenarioSet, TariffBook, study
+from capsub.optimizer import prepare_objective
 
 
 @pytest.fixture
@@ -56,3 +57,8 @@ def small_pools(monkeypatch, pool_sizes):
     """Lets a study of a few consumer-years start a pool; returns ``pool_sizes``."""
     monkeypatch.setattr(study, "MIN_CONSUMER_YEARS_PER_WORKER", 1)
     return pool_sizes
+
+
+def objective_table(scenario_set, book, schedules=None, stacks=None):
+    """The full table of the book's objective: every candidate level and its constant."""
+    return prepare_objective(scenario_set, book, schedules, stacks).lines()

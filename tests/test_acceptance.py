@@ -15,13 +15,12 @@ from capsub import (ActivationSchedule, DEFAULT_THRESHOLD_KW, ScenarioSet, Tarif
                     calibrate_capacity_price, cost_dynamic_cs, cost_energy_tariff,
                     cost_static_cs, default_study_spec, default_tariff_bundle,
                     derive_activations, derive_schedules, discomfort_cost,
-                    dynamic_objective_lines, energy_reference_revenue, expected_cost,
-                    expected_exceedance_hours, generate_population, optimize_deterministic,
-                    optimize_dynamic, optimize_static, stacks_for_scenarios,
-                    static_objective_lines, vcl_marginal)
+                    energy_reference_revenue, expected_cost, expected_exceedance_hours,
+                    generate_population, optimize_deterministic, optimize_dynamic,
+                    optimize_static, stacks_for_scenarios, vcl_marginal)
 from capsub.cli import main as cli_main
 
-from conftest import make_series, singleton_set
+from conftest import make_series, objective_table, singleton_set
 
 BUNDLE = default_tariff_bundle()
 VCL_PARAMS = VclCurveParams(5.0, 8.0)
@@ -281,7 +280,7 @@ def test_criterion_8_convexity_audit():
         c_l, c_h = 0.005, 0.105
         book = TariffBook.static_cs(
             135.0, float(rng.uniform(0.05, 0.9)) * (c_h - c_l) * hours, c_l, c_h)
-        levels, const = static_objective_lines(ss, book)
+        levels, const = objective_table(ss, book)
         assert_convex(levels, const + book.capacity_price * levels)
 
     dynamic_book = BUNDLE.dynamic
@@ -295,7 +294,7 @@ def test_criterion_8_convexity_audit():
         schedules = {"2015": ActivationSchedule("2015", active)}
         stacks = {"2015": build_segment_stack(VCL_PARAMS, series.peak_kw,
                                               int(rng.integers(1, 9)))}
-        levels, const = dynamic_objective_lines(ss, dynamic_book, schedules, stacks)
+        levels, const = objective_table(ss, dynamic_book, schedules, stacks)
         assert_convex(levels, const + dynamic_book.capacity_price * levels)
     report(8, "non-decreasing slopes on 100 random instances, both objectives")
 

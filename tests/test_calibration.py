@@ -7,9 +7,9 @@ from capsub import (ActivationSchedule, CalibrationFailed, DomainError, HourlyLo
                     VclCurveParams, calibrate_capacity_price, derive_schedules,
                     energy_reference_revenue, expected_cost, generate_population,
                     optimize_static, stacks_for_scenarios)
-from capsub.optimizer import objective_lines
+from capsub.optimizer import PreparedObjective, _argmin_index
 
-from conftest import make_series, singleton_set
+from conftest import make_series, objective_table, singleton_set
 
 
 def aggregate_at(lines, price):
@@ -43,6 +43,35 @@ def bisection_price(lines, reference, tolerance):
         else:
             hi = mid
     raise AssertionError(f"bisection did not reach {tolerance:g} within 200 steps")
+
+
+def table_newton(lines, reference):
+    """Calibration's Newton steps over every consumer's full table; returns (price, trace).
+
+    This is how calibration evaluated each price before it costed only a
+    window of each table; inputs are assumed to be valid.
+    """
+    trace = []
+
+    def evaluate(price):
+        aggregate = slope = 0.0
+        for levels, const in lines:
+            objective = const + price * levels
+            k = _argmin_index(objective)
+            aggregate += float(objective[k])
+            slope += float(levels[k])
+        trace.append((price, aggregate))
+        return aggregate, slope
+
+    price = 0.0
+    aggregate, slope = evaluate(price)
+    while aggregate < reference and slope > 0.0:
+        step = price + (reference - aggregate) / slope
+        if step <= price:
+            break
+        price = step
+        aggregate, slope = evaluate(price)
+    return price, trace
 
 
 def mini_population(consumers=8, seed=5):
@@ -127,7 +156,7 @@ class TestNewtonExactness:
     @given(st.data())
     def test_smallest_price_reaching_the_reference(self, data):
         population, book, schedules, stacks = data.draw(calibration_inputs())
-        lines = [objective_lines(consumer, book, schedules, consumer_stacks)
+        lines = [objective_table(consumer, book, schedules, consumer_stacks)
                  for consumer, consumer_stacks in zip(population, stacks)]
         at_zero = aggregate_at(lines, 0.0)
         # every consumer's zero-kW line is flat: the aggregate saturates at their sum
@@ -145,6 +174,32 @@ class TestNewtonExactness:
         prices = [p for p, _ in outcome.trace]
         assert all(a < b for a, b in zip(prices, prices[1:]))
         assert outcome.iterations == len(outcome.trace)
+
+
+class TestCalibrationBuildsNoFullTable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_outcome_as_the_full_tables(self, data):
+        population, book, schedules, stacks = data.draw(calibration_inputs())
+        lines = [objective_table(consumer, book, schedules, consumer_stacks)
+                 for consumer, consumer_stacks in zip(population, stacks)]
+        at_zero = aggregate_at(lines, 0.0)
+        saturation = float(sum(const[0] for _, const in lines))
+        assume(saturation - at_zero > 1e-6 * saturation)
+        reference = at_zero + data.draw(st.floats(0.01, 0.99)) * (saturation - at_zero)
+        price, trace = table_newton(lines, reference)
+
+        def refuse(self):
+            raise AssertionError("calibration built a full objective table")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PreparedObjective, "lines", refuse)
+            outcome = calibrate_capacity_price(population, book, reference, 1e-12,
+                                               schedules=schedules, stacks_by_consumer=stacks)
+        assert outcome.capacity_price.hex() == price.hex()
+        assert [(p.hex(), a.hex()) for p, a in outcome.trace] == \
+            [(p.hex(), a.hex()) for p, a in trace]
+        assert outcome.iterations == len(trace)
 
 
 class TestSelfConsistency:

@@ -255,18 +255,23 @@ class TestStudy:
                              "--policy", "stoch", "--out", str(tmp_path / "s"))
         assert code == 1
 
-    def test_manifest_rerun_any_jobs_byte_identical(self, generated_loads,
-                                                    tmp_path, capsys):
+    def test_manifest_rerun_any_jobs_byte_identical(self, tmp_path, capsys, small_pools):
+        # 5 consumers are 2 chunks of 4, and with a minimum of one consumer-year per
+        # worker the --jobs 2 rerun starts a pool of 2
+        spec = small_spec_file(tmp_path, consumer_count=5)
+        assert run_cli(capsys, "generate", "--spec", str(spec), "--out", str(tmp_path))[0] == 0
         out1 = tmp_path / "run1"
-        code, _, _ = run_cli(capsys, "study", "--loads", str(generated_loads),
+        code, _, _ = run_cli(capsys, "study", "--loads", str(tmp_path / "loads.csv"),
                              "--policy", "stoch", "--policy", "reactive",
                              "--policy", "det",
                              "--threshold-kw", "18.0", "--out", str(out1))
         assert code == 0
+        assert small_pools == []
         out2 = tmp_path / "run2"
         code, _, _ = run_cli(capsys, "study", "--from-manifest", str(out1 / "study.json"),
                              "--jobs", "2", "--out", str(out2))
         assert code == 0
+        assert small_pools == [2]
         names1 = sorted(p.name for p in out1.iterdir())
         names2 = sorted(p.name for p in out2.iterdir())
         assert names1 == names2

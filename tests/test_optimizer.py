@@ -1,3 +1,4 @@
+import math
 import time
 from dataclasses import replace
 
@@ -8,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from capsub import (ActivationSchedule, DomainError, HourlyLoadSeries, IllPosed, LoadScenario,
                     PolicyKind, ScenarioMismatch, ScenarioSet, SyntheticPopulationSpec,
                     TariffBook, VclCurveParams, build_segment_stack,
-                    default_tariff_bundle, derive_activations, dynamic_objective_lines,
-                    expected_cost, expected_exceedance_hours, generate_population,
-                    optimize_deterministic, optimize_dynamic, optimize_static, optimizer,
-                    run_study, stacks_for_scenarios, static_objective_lines, study)
-from capsub.optimizer import TIE_RTOL, _argmin_index, prepare_objective
+                    default_tariff_bundle, derive_activations, expected_cost,
+                    expected_exceedance_hours, generate_population, optimize_deterministic,
+                    optimize_dynamic, optimize_static, run_study, stacks_for_scenarios,
+                    static_objective_lines, study)
+from capsub.optimizer import TIE_RTOL, PreparedObjective, _argmin_index, prepare_objective
 from capsub.tariff_engine import PEAK_MATCH_RTOL
 
-from conftest import make_series, singleton_set
+from conftest import make_series, objective_table, singleton_set
 
 PARAMS = VclCurveParams(5.0, 8.0)
 
@@ -83,6 +84,34 @@ def grid_dynamic_objective_lines(scenario_set, book, schedules, stacks):
             const[start:start + chunk] += probability * (
                 book.energy_price * served.sum(axis=1) + discomfort.sum(axis=1))
     return levels, const
+
+
+def loop_constants(objective, levels):
+    """The constants as a Python loop over each year's segments, one tail-energy call each.
+
+    This is how ``PreparedObjective.constants`` costed levels before it took
+    one searchsorted per year over the levels x segments grid.
+    """
+    def tail_energy(year, t):
+        pos = year.sorted_loads.searchsorted(t, side="right")
+        return year.suffix[pos] - t * (year.sorted_loads.size - pos)
+
+    const = np.full(levels.shape, objective.fixed_annual)
+    for probability, year in objective.years:
+        cut_cost = sum(step * tail_energy(year, levels + floor)
+                       for step, floor in zip(year.steps, year.floors))
+        const += probability * (objective.energy_price * year.total_kwh + cut_cost)
+    return const
+
+
+def cut_rate(objective, level):
+    """The cut cost one more kW above ``level`` saves, counted from the unsorted loads.
+
+    That is sum_s p_s sum_j steps[j] * #{a_s > level + floors[j]}; at a
+    capacity price equal to it, the objective is flat just above ``level``.
+    """
+    return sum(probability * float(year.steps @ (year.loads[:, None] > level + year.floors).sum(0))
+               for probability, year in objective.years)
 
 
 def pooled_static_objective_lines(scenario_set, book):
@@ -271,7 +300,7 @@ class TestObjectiveLines:
         series = [make_series(rng.uniform(0, 5, 80), year_label=str(2013 + k))
                   for k in range(2)]
         ss = ScenarioSet.equiprobable(series)
-        levels, const = static_objective_lines(ss, static_book)
+        levels, const = objective_table(ss, static_book)
         for k in range(0, levels.size, 7):
             level = float(levels[k])
             line_value = const[k] + static_book.capacity_price * level
@@ -285,7 +314,7 @@ class TestObjectiveLines:
         ss = singleton_set(series)
         schedules = {"2015": ActivationSchedule("2015", np.flatnonzero(loads > 3.5))}
         stacks = {"2015": build_segment_stack(PARAMS, series.peak_kw, 5)}
-        levels, const = dynamic_objective_lines(ss, dynamic_book, schedules, stacks)
+        levels, const = objective_table(ss, dynamic_book, schedules, stacks)
         for k in range(0, levels.size, 11):
             level = float(levels[k])
             line_value = const[k] + dynamic_book.capacity_price * level
@@ -296,7 +325,7 @@ class TestObjectiveLines:
     def test_static_objective_is_convex_along_candidates(self, static_book):
         rng = np.random.default_rng(41)
         ss = singleton_set(make_series(rng.uniform(0, 5, 150)))
-        levels, const = static_objective_lines(ss, static_book)
+        levels, const = objective_table(ss, static_book)
         values = const + static_book.capacity_price * levels
         slopes = np.diff(values) / np.diff(levels)
         assert np.all(np.diff(slopes) >= -1e-8)
@@ -396,7 +425,7 @@ class TestDynamicLinesMatchGridOracle:
     @given(dynamic_inputs())
     def test_same_levels_constants_and_optima(self, inputs):
         scenario_set, book, schedules, stacks = inputs
-        levels, const = dynamic_objective_lines(scenario_set, book, schedules, stacks)
+        levels, const = objective_table(scenario_set, book, schedules, stacks)
         grid_levels, grid_const = grid_dynamic_objective_lines(
             scenario_set, book, schedules, stacks)
         np.testing.assert_array_equal(levels, grid_levels)
@@ -463,7 +492,7 @@ class TestStaticLinesMatchPooledOracle:
            st.data())
     def test_same_levels_constants_and_choice(self, inputs, prices, data):
         scenario_set, book = inputs
-        levels, const = static_objective_lines(scenario_set, book)
+        levels, const = objective_table(scenario_set, book)
         pooled_levels, pooled_const = pooled_static_objective_lines(scenario_set, book)
         np.testing.assert_array_equal(levels, pooled_levels)
         np.testing.assert_allclose(const, pooled_const, rtol=1e-11, atol=0.0)
@@ -558,23 +587,38 @@ class TestWindowMatchesFullTable:
     def test_same_level_bit_for_bit(self, inputs, fractions):
         scenario_set, book, schedules, stacks, middle = inputs
         objective = prepare_objective(scenario_set, book, schedules, stacks)
-        levels, const = optimizer.objective_lines(scenario_set, book, schedules, stacks)
+        levels, const = objective_table(scenario_set, book, schedules, stacks)
         np.testing.assert_array_equal(objective.levels, levels)
 
-        def slope_rate(x):
-            return sum(p * year.cut_rate(x) for p, year in objective.years)
-
         # the steepest descent is at level 0; prices run from 0 to beyond it
-        steepest = slope_rate(0.0)
+        steepest = cut_rate(objective, 0.0)
         prices = [0.0, 1.5 * steepest + 1.0] + [f * 1.2 * steepest for f in fractions]
         # a price equal to a piece's slope makes that piece flat
-        prices += [slope_rate(levels[len(levels) // 3]), slope_rate(levels[-2])
-                   if len(levels) > 1 else 0.0]
+        prices += [cut_rate(objective, levels[len(levels) // 3]),
+                   cut_rate(objective, levels[-2]) if len(levels) > 1 else 0.0]
         if middle is not None:
-            prices.append(slope_rate(middle))
+            prices.append(cut_rate(objective, middle))
         for price in prices:
-            expected = float(levels[_argmin_index(const + price * levels)])
-            assert objective.argmin(price).hex() == expected.hex(), price
+            table = const + price * levels
+            k = _argmin_index(table)
+            level, value = objective.argmin(price)
+            assert (level.hex(), value.hex()) == (float(levels[k]).hex(), float(table[k]).hex()), \
+                price
+
+    # dynamic_inputs draws up to 12 segments: a pairwise sum differs from the
+    # loop's left-to-right one from 8 terms on
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(window_inputs().map(lambda inputs: inputs[:4]), dynamic_inputs()),
+           st.data())
+    def test_constants_equal_the_segment_loop_bit_for_bit(self, inputs, data):
+        scenario_set, book, schedules, stacks = inputs
+        objective = prepare_objective(scenario_set, book, schedules, stacks)
+        levels = objective.levels
+        subset = np.unique(np.array(data.draw(st.lists(
+            st.integers(0, levels.size - 1), min_size=1, max_size=12)), dtype=np.int64))
+        for some in (levels, levels[subset], levels[subset[:1]]):
+            np.testing.assert_array_equal(objective.constants(some).view(np.int64),
+                                          loop_constants(objective, some).view(np.int64))
 
     def test_window_grows_to_the_first_tied_level(self, static_book):
         # 40 loads a few ulps apart: at the price where the slope crosses zero
@@ -584,12 +628,15 @@ class TestWindowMatchesFullTable:
                                 np.full(100, 4.0)])
         ss = singleton_set(make_series(loads))
         objective = prepare_objective(ss, static_book)
-        levels, const = static_objective_lines(ss, static_book)
-        price = sum(p * year.cut_rate(levels[30]) for p, year in objective.years)
+        levels, const = objective_table(ss, static_book)
+        price = cut_rate(objective, levels[30])
         expected = levels[_argmin_index(const + price * levels)]
-        crossing = objective.crossing(price)
-        assert np.flatnonzero(levels == expected)[0] < crossing - 4
-        assert objective.argmin(price) == expected
+        # the window starts at the last probe, every ceil(sqrt(L))-th level,
+        # where the slope is negative
+        probes = range(0, levels.size, math.isqrt(levels.size - 1) + 1)
+        start = max(k for k in probes if cut_rate(objective, levels[k]) > price)
+        assert np.flatnonzero(levels == expected)[0] < start - 4
+        assert objective.argmin(price)[0] == expected
 
 
 class TestStudyBuildsNoFullTable:
@@ -606,18 +653,17 @@ class TestStudyBuildsNoFullTable:
                              threshold_kw=8.0, vcl_segments=10)
 
         def table_level(scenario_set, book, schedules=None, stacks=None, prepared=None):
-            levels, const = optimizer.objective_lines(scenario_set, book, schedules, stacks)
+            levels, const = objective_table(scenario_set, book, schedules, stacks)
             return float(levels[_argmin_index(const + book.capacity_price * levels)])
 
         with monkeypatch.context() as patch:
             patch.setattr(study, "optimize_expected", table_level)
             expected = run()
 
-        def refuse(*args, **kwargs):
+        def refuse(self):
             raise AssertionError("the study built a full objective table")
 
-        monkeypatch.setattr(optimizer, "static_objective_lines", refuse)
-        monkeypatch.setattr(optimizer, "dynamic_objective_lines", refuse)
+        monkeypatch.setattr(PreparedObjective, "lines", refuse)
         got = run()
         assert got.consumers == expected.consumers
         assert (got.policies, got.regimes) == (expected.policies, expected.regimes)
