@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,6 +11,7 @@ import numpy as np
 
 from .data_model import HourlyLoadSeries, ScenarioSet
 from .errors import DomainError, ScenarioMismatch
+from .reporting import write_table
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,6 @@ def activation_summary(schedules: Sequence[ActivationSchedule]) -> list[Activati
 
 def write_schedules_csv(schedules: Iterable[ActivationSchedule], path: str | Path) -> None:
     """Export schedules as ``year_label,hour_index`` rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year_label", "hour_index"])
-        for schedule in schedules:
-            for hour in schedule.active_hours.tolist():
-                writer.writerow([schedule.year_label, hour])
+    write_table(path, ["year_label", "hour_index"],
+                ((schedule.year_label, str(hour))
+                 for schedule in schedules for hour in schedule.active_hours.tolist()))

@@ -34,7 +34,6 @@ import calendar
 import contextlib
 import csv
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -52,6 +51,7 @@ import numpy as np
 
 from .data_model import HourlyLoadSeries, ScenarioSet
 from .errors import ConfigError, MalformedRow, MissingHours, NegativeLoad
+from .reporting import csv_field
 
 CSV_HEADER = ["consumer_id", "timestamp", "load_kwh"]
 _HEADER_LINE = ",".join(CSV_HEADER) + "\n"
@@ -241,17 +241,6 @@ def _hour_stamps(year: int, hours: int) -> list[str]:
     start = np.datetime64(f"{year:04d}-01-01", "D")
     days = np.arange(start, start + -(-hours // 24)).astype(str).tolist()
     return [day + hour for day in days for hour in _HOUR_SUFFIXES][:hours]
-
-
-def _csv_id(consumer_id: str) -> str:
-    """``consumer_id`` as csv.writer writes it as the first field of a row.
-
-    csv.writer quotes a field that holds a character of its line terminator;
-    with "\r\n" that covers a lone "\r", which the reader ends a row at.
-    """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow([consumer_id, ""])
-    return buf.getvalue()[:-3]
 
 
 def file_sha256(path: str | Path) -> str:
@@ -498,7 +487,7 @@ def write_load_csv(series_list: Sequence[HourlyLoadSeries], path: str | Path) ->
     """Write series in the wire format; floats keep full round-trip precision.
 
     Rows are formatted _CHUNK_HOURS at a time into one string. An id that
-    needs quoting is quoted once per series, by csv.writer.
+    needs quoting is quoted once per series, by ``csv_field``.
     """
     ordered = sorted(series_list, key=lambda s: (s.consumer_id, s.year_label))
     stamps: dict[tuple[int, int], list[str]] = {}
@@ -509,7 +498,7 @@ def write_load_csv(series_list: Sequence[HourlyLoadSeries], path: str | Path) ->
             key = (_parse_year(series.year_label), series.hours_count)
             if key not in stamps:
                 stamps[key] = _hour_stamps(*key)
-            cid = _csv_id(series.consumer_id)
+            cid = csv_field(series.consumer_id)
             for start in range(0, series.hours_count, _CHUNK_HOURS):
                 chunk = slice(start, start + _CHUNK_HOURS)
                 fh.write("".join(f"{cid},{ts},{load!r}\n" for ts, load in

@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -76,21 +77,42 @@ def aggregate_revenue_table(
 # CSV writers
 # ---------------------------------------------------------------------------
 
-def _open_writer(path: Path, comment_lines: Sequence[str] = ()):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    for line in comment_lines:
-        fh.write(f"# {line}\n")
-    return fh, csv.writer(fh, lineterminator="\n")
+def csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it as a field of a "\r\n"-terminated row.
+
+    A field that holds a comma, a quote, "\r" or "\n" is quoted with its
+    quotes doubled; with "\r\n" that covers a lone "\r", which the reader
+    ends a row at. Plain text is returned as it is.
+    """
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow([text])
+        return buf.getvalue()[:-2]
+    return text
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]],
+                comments: Sequence[str] = ()) -> None:
+    """Write ``# `` comment lines, the header and the rows with one ``write``.
+
+    Fields are joined by commas and rows end in "\n". If the joined text shows
+    a field that holds a quote, a "\r", or a comma or "\n" beyond the
+    separators, the table is joined again with each field through ``csv_field``.
+    """
+    table = [header, *rows]
+    body = "\n".join(map(",".join, table)) + "\n"
+    if ('"' in body or "\r" in body or body.count("\n") != len(table)
+            or body.count(",") != sum(map(len, table)) - len(table)):
+        body = "".join(",".join(map(csv_field, row)) + "\n" for row in table)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(f"# {line}\n" for line in comments) + body)
 
 
 def write_fullloadhours_csv(rows: Iterable[tuple[str, str, float, float]],
                             path: str | Path) -> None:
     """Rows of (consumer_id, year_label, full_load_hours, load_factor)."""
-    fh, writer = _open_writer(Path(path))
-    with fh:
-        writer.writerow(["consumer_id", "year_label", "full_load_hours", "load_factor"])
-        for consumer_id, year, flh, lf in rows:
-            writer.writerow([consumer_id, year, _fmt(flh), _fmt(lf)])
+    write_table(path, ["consumer_id", "year_label", "full_load_hours", "load_factor"],
+                ((consumer_id, year, _fmt(flh), _fmt(lf)) for consumer_id, year, flh, lf in rows))
 
 
 def write_relative_cost_csv(consumer_ids: Sequence[str], costs_a: Sequence[float],
@@ -101,48 +123,39 @@ def write_relative_cost_csv(consumer_ids: Sequence[str], costs_a: Sequence[float
     b = np.asarray(costs_b, dtype=np.float64)
     ratios = relative_cost_curve(a, b)
     order = np.argsort(a / b, kind="stable")
-    fh, writer = _open_writer(Path(path), [f"ratio = {label_a} / {label_b}, sorted ascending"])
-    with fh:
-        writer.writerow(["rank", "consumer_id", "cost_a_eur", "cost_b_eur", "ratio"])
-        for rank, idx in enumerate(order.tolist(), start=1):
-            writer.writerow([rank, consumer_ids[idx], _fmt(a[idx]), _fmt(b[idx]),
-                             _fmt(ratios[rank - 1])])
+    write_table(path, ["rank", "consumer_id", "cost_a_eur", "cost_b_eur", "ratio"],
+                ((str(rank), consumer_ids[idx], _fmt(a[idx]), _fmt(b[idx]), _fmt(ratio))
+                 for rank, (idx, ratio) in enumerate(zip(order.tolist(), ratios), start=1)),
+                [f"ratio = {label_a} / {label_b}, sorted ascending"])
 
 
 def write_aggregate_revenue_csv(rows: Sequence[RevenueRow], path: str | Path) -> None:
-    fh, writer = _open_writer(Path(path),
-                              ["monetary_eur corresponds to DSO income; discomfort_eur is "
-                               "the non-monetary welfare loss of cut load"])
-    with fh:
-        writer.writerow(["year_label", "regime", "policy", "monetary_eur", "discomfort_eur"])
-        for row in rows:
-            writer.writerow([row.year_label, row.regime, row.policy,
-                             _fmt(row.monetary_eur), _fmt(row.discomfort_eur)])
+    write_table(path, ["year_label", "regime", "policy", "monetary_eur", "discomfort_eur"],
+                ((row.year_label, row.regime, row.policy,
+                  _fmt(row.monetary_eur), _fmt(row.discomfort_eur)) for row in rows),
+                ["monetary_eur corresponds to DSO income; discomfort_eur is "
+                 "the non-monetary welfare loss of cut load"])
 
 
 def write_subscription_levels_csv(
         rows: Iterable[tuple[str, str, str, str, float]], path: str | Path) -> None:
     """Rows of (consumer_id, regime, policy, year_label, level_kw)."""
-    fh, writer = _open_writer(Path(path))
-    with fh:
-        writer.writerow(["consumer_id", "regime", "policy", "year_label", "level_kw"])
-        for consumer_id, regime, policy, year, level in rows:
-            writer.writerow([consumer_id, regime, policy, year, _fmt(level)])
+    write_table(path, ["consumer_id", "regime", "policy", "year_label", "level_kw"],
+                ((consumer_id, regime, policy, year, _fmt(level))
+                 for consumer_id, regime, policy, year, level in rows))
 
 
 def write_annual_costs_csv(
         rows: Iterable[tuple[str, str, str, str, CostBreakdown]], path: str | Path) -> None:
     """Rows of (consumer_id, year_label, regime, policy, breakdown)."""
-    fh, writer = _open_writer(Path(path))
-    with fh:
-        writer.writerow(["consumer_id", "year_label", "regime", "policy",
-                         "fixed_eur", "capacity_eur", "energy_eur", "excess_eur",
-                         "discomfort_eur", "total_monetary_eur", "total_welfare_eur"])
-        for consumer_id, year, regime, policy, bd in rows:
-            writer.writerow([consumer_id, year, regime, policy,
-                             _fmt(bd.fixed), _fmt(bd.capacity), _fmt(bd.energy_below),
-                             _fmt(bd.excess), _fmt(bd.discomfort),
-                             _fmt(bd.total_monetary), _fmt(bd.total_welfare)])
+    write_table(path, ["consumer_id", "year_label", "regime", "policy",
+                       "fixed_eur", "capacity_eur", "energy_eur", "excess_eur",
+                       "discomfort_eur", "total_monetary_eur", "total_welfare_eur"],
+                ((consumer_id, year, regime, policy,
+                  _fmt(bd.fixed), _fmt(bd.capacity), _fmt(bd.energy_below),
+                  _fmt(bd.excess), _fmt(bd.discomfort),
+                  _fmt(bd.total_monetary), _fmt(bd.total_welfare))
+                 for consumer_id, year, regime, policy, bd in rows))
 
 
 def write_loadfactor_scatter_csv(consumer_ids: Sequence[str],
@@ -155,8 +168,7 @@ def write_loadfactor_scatter_csv(consumer_ids: Sequence[str],
         fit_note = f"ols_slope={_fmt(slope)} ols_intercept={_fmt(intercept)}"
     else:
         fit_note = "ols fit omitted: fewer than two consumers"
-    fh, writer = _open_writer(Path(path), [f"ratio = {ratio_label}", fit_note])
-    with fh:
-        writer.writerow(["consumer_id", "load_factor", "cost_ratio"])
-        for consumer_id, lf, ratio in zip(consumer_ids, load_factors, cost_ratios):
-            writer.writerow([consumer_id, _fmt(lf), _fmt(ratio)])
+    write_table(path, ["consumer_id", "load_factor", "cost_ratio"],
+                ((consumer_id, _fmt(lf), _fmt(ratio))
+                 for consumer_id, lf, ratio in zip(consumer_ids, load_factors, cost_ratios)),
+                [f"ratio = {ratio_label}", fit_note])

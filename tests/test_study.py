@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from dataclasses import replace
 
@@ -7,8 +9,8 @@ import pytest
 from capsub import (ConfigError, PolicyKind, ScenarioMismatch, ScenarioSet,
                     SyntheticPopulationSpec, TariffRegime, expected_exceedance_hours,
                     default_tariff_bundle, generate_population, run_study,
-                    run_study_from_manifest, build_manifest, write_load_csv,
-                    write_study_outputs)
+                    run_study_from_manifest, build_manifest, scenario_sets_from_series,
+                    write_load_csv, write_study_outputs)
 from capsub import VclCurveParams, optimizer, stacks_for_scenarios, study
 from capsub.study import _policy_cost_total
 from capsub.tariff_engine import annual_cost
@@ -460,3 +462,32 @@ class TestOutputsAndManifest:
         else:
             with pytest.raises(ConfigError, match="min_level"):
                 run_study_from_manifest(manifest_path)
+
+
+AWKWARD_IDS = ["a,b", 'say "hi"', "a\nb", "a\rb"]
+
+
+class TestOutputsReadBack:
+    @pytest.mark.parametrize("consumer_ids",
+                             [[cid, "c1", "c2", "c3"] for cid in AWKWARD_IDS] + [AWKWARD_IDS],
+                             ids=AWKWARD_IDS + ["all"])
+    def test_every_table_reads_back(self, tmp_path, consumer_ids):
+        generated = study_population(consumers=4, years=("2015", "2016"))
+        population = scenario_sets_from_series(
+            replace(sc.series, consumer_id=cid)
+            for consumer, cid in zip(generated, consumer_ids) for sc in consumer.scenarios)
+        result = run_study(population, default_tariff_bundle(),
+                           policies=("det", "stoch", "reactive"),
+                           threshold_kw=pick_threshold(population), vcl_segments=10)
+        tables = [p for p in write_study_outputs(result, tmp_path) if p.suffix == ".csv"]
+        assert len(tables) == 11
+        for path in tables:
+            with open(path, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+            while text.startswith("# "):
+                text = text.split("\n", 1)[1]
+            header, *rows = csv.reader(io.StringIO(text, newline=""))
+            assert all(len(row) == len(header) for row in rows), path.name
+            if "consumer_id" in header:
+                column = header.index("consumer_id")
+                assert {row[column] for row in rows} == set(consumer_ids), path.name
