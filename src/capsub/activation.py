@@ -34,16 +34,6 @@ class ActivationSchedule:
     def count(self) -> int:
         return int(self.active_hours.size)
 
-    def active_mask(self, hours_count: int) -> np.ndarray:
-        """Boolean per-hour mask; rejects hour indices beyond the series length."""
-        if self.active_hours.size and self.active_hours[-1] >= hours_count:
-            raise ScenarioMismatch(
-                f"schedule for {self.year_label} has hour index {int(self.active_hours[-1])} "
-                f"outside a {hours_count}-hour year")
-        mask = np.zeros(hours_count, dtype=bool)
-        mask[self.active_hours] = True
-        return mask
-
 
 def derive_activations(population: Sequence[HourlyLoadSeries],
                        threshold_kw: float) -> ActivationSchedule:

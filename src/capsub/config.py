@@ -39,14 +39,32 @@ DEFAULT_TARIFF_CONFIG: dict = {
 }
 
 
-# The TariffBundle field that holds each regime's book.
-_BOOK_FIELDS = {TariffRegime.ENERGY_ONLY: "energy", TariffRegime.STATIC_CS: "static",
-                TariffRegime.DYNAMIC_CS: "dynamic"}
+# The config format: each regime's JSON section, the TariffBook factory that
+# takes its prices by field name, and per price (JSON key, field, JSON units per
+# EUR). Reading divides by the scale and writing multiplies, so 1.0 is exact.
+_SECTIONS = {
+    TariffRegime.ENERGY_ONLY: ("energy_only", TariffBook.energy_only, (
+        ("fixed_annual_eur", "fixed_annual", 1.0),
+        ("energy_price_eurct_per_kwh", "energy_price", 100.0))),
+    TariffRegime.STATIC_CS: ("static_cs", TariffBook.static_cs, (
+        ("fixed_annual_eur", "fixed_annual", 1.0),
+        ("capacity_price_eur_per_kw_year", "capacity_price", 1.0),
+        ("energy_price_eurct_per_kwh", "energy_price", 100.0),
+        ("excess_price_eurct_per_kwh", "excess_price", 100.0))),
+    TariffRegime.DYNAMIC_CS: ("dynamic_cs", TariffBook.dynamic_cs, (
+        ("fixed_annual_eur", "fixed_annual", 1.0),
+        ("capacity_price_eur_per_kw_year", "capacity_price", 1.0),
+        ("energy_price_eurct_per_kwh", "energy_price", 100.0),
+        ("voll_eur_per_kwh", "voll", 1.0))),
+}
 
 
 @dataclass(frozen=True)
 class TariffBundle:
-    """The three tariff books of one study plus the discomfort-curve steepness."""
+    """The three tariff books of one study plus the discomfort-curve steepness.
+
+    Each book's field is named by its regime's value.
+    """
 
     energy: TariffBook
     static: TariffBook
@@ -55,11 +73,11 @@ class TariffBundle:
 
     def book(self, regime: TariffRegime) -> TariffBook:
         """The bundle's book for ``regime``."""
-        return getattr(self, _BOOK_FIELDS[regime])
+        return getattr(self, regime.value)
 
     def with_book(self, book: TariffBook) -> "TariffBundle":
         """A copy with ``book`` in place of the bundle's book of the same regime."""
-        return replace(self, **{_BOOK_FIELDS[book.regime]: book})
+        return replace(self, **{book.regime.value: book})
 
 
 def _number(section: str, data: dict, key: str) -> float:
@@ -71,53 +89,31 @@ def _number(section: str, data: dict, key: str) -> float:
 def bundle_from_dict(raw: dict) -> TariffBundle:
     if not isinstance(raw, dict):
         raise ConfigError("tariff config: expected a JSON object")
-    for section in ("energy_only", "static_cs", "dynamic_cs"):
+    for section, _factory, _prices in _SECTIONS.values():
         if section not in raw or not isinstance(raw[section], dict):
             raise ConfigError(f"tariff config: section {section!r} is missing")
-    energy_raw, static_raw, dynamic_raw = raw["energy_only"], raw["static_cs"], raw["dynamic_cs"]
-    try:
-        energy = TariffBook.energy_only(
-            _number("energy_only", energy_raw, "fixed_annual_eur"),
-            _number("energy_only", energy_raw, "energy_price_eurct_per_kwh") / 100.0)
-        static = TariffBook.static_cs(
-            _number("static_cs", static_raw, "fixed_annual_eur"),
-            _number("static_cs", static_raw, "capacity_price_eur_per_kw_year"),
-            _number("static_cs", static_raw, "energy_price_eurct_per_kwh") / 100.0,
-            _number("static_cs", static_raw, "excess_price_eurct_per_kwh") / 100.0)
-        dynamic = TariffBook.dynamic_cs(
-            _number("dynamic_cs", dynamic_raw, "fixed_annual_eur"),
-            _number("dynamic_cs", dynamic_raw, "capacity_price_eur_per_kw_year"),
-            _number("dynamic_cs", dynamic_raw, "energy_price_eurct_per_kwh") / 100.0,
-            _number("dynamic_cs", dynamic_raw, "voll_eur_per_kwh"))
-    except ValueError as exc:
-        raise ConfigError(f"tariff config: {exc}") from exc
+    books = {}
+    for regime, (section, factory, prices) in _SECTIONS.items():
+        data = raw[section]
+        fields = {field: _number(section, data, key) / scale for key, field, scale in prices}
+        try:
+            books[regime.value] = factory(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"tariff config: {exc}") from exc
+    dynamic_raw = raw["dynamic_cs"]
     steepness = _number("dynamic_cs", dynamic_raw, "vcl_steepness") \
         if "vcl_steepness" in dynamic_raw else DEFAULT_STEEPNESS
     if steepness <= 0.0:
         raise ConfigError(f"tariff config: dynamic_cs.vcl_steepness must be > 0, got {steepness}")
-    return TariffBundle(energy, static, dynamic, steepness)
+    return TariffBundle(**books, vcl_steepness=steepness)
 
 
 def bundle_to_dict(bundle: TariffBundle) -> dict:
-    return {
-        "energy_only": {
-            "fixed_annual_eur": bundle.energy.fixed_annual,
-            "energy_price_eurct_per_kwh": bundle.energy.energy_price * 100.0,
-        },
-        "static_cs": {
-            "fixed_annual_eur": bundle.static.fixed_annual,
-            "capacity_price_eur_per_kw_year": bundle.static.capacity_price,
-            "energy_price_eurct_per_kwh": bundle.static.energy_price * 100.0,
-            "excess_price_eurct_per_kwh": bundle.static.excess_price * 100.0,
-        },
-        "dynamic_cs": {
-            "fixed_annual_eur": bundle.dynamic.fixed_annual,
-            "capacity_price_eur_per_kw_year": bundle.dynamic.capacity_price,
-            "energy_price_eurct_per_kwh": bundle.dynamic.energy_price * 100.0,
-            "voll_eur_per_kwh": bundle.dynamic.voll,
-            "vcl_steepness": bundle.vcl_steepness,
-        },
-    }
+    raw = {section: {key: getattr(bundle.book(regime), field) * scale
+                     for key, field, scale in prices}
+           for regime, (section, _factory, prices) in _SECTIONS.items()}
+    raw["dynamic_cs"]["vcl_steepness"] = bundle.vcl_steepness
+    return raw
 
 
 def load_tariff_config(path: str | Path) -> TariffBundle:

@@ -99,8 +99,6 @@ class ScenarioSet:
     def equiprobable(cls, series: Sequence[HourlyLoadSeries]) -> "ScenarioSet":
         """Wrap per-year series with probability 1/n each."""
         n = len(series)
-        if n == 0:
-            raise ValueError("scenario set must not be empty")
         return cls(tuple(LoadScenario(s, 1.0 / n) for s in series))
 
     @property

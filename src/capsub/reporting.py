@@ -58,12 +58,13 @@ def aggregate_revenue_table(
 ) -> list[RevenueRow]:
     """Sum per-consumer breakdowns into (year, regime, policy) totals.
 
-    Input tuples are (year_label, regime, policy, consumer_id, breakdown);
-    the monetary column corresponds to the grid operator's income, the
-    discomfort column to the non-monetary welfare loss stacked on top.
+    Input tuples are (consumer_id, year_label, regime, policy, breakdown), the
+    rows of ``write_annual_costs_csv``; the monetary column corresponds to the
+    grid operator's income, the discomfort column to the non-monetary welfare
+    loss stacked on top.
     """
     totals: dict[tuple[str, str, str], list[float]] = {}
-    for year, regime, policy, _consumer, breakdown in annual_breakdowns:
+    for _consumer, year, regime, policy, breakdown in annual_breakdowns:
         entry = totals.setdefault((year, regime, policy), [0.0, 0.0])
         entry[0] += breakdown.total_monetary
         entry[1] += breakdown.discomfort

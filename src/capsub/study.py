@@ -322,14 +322,10 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path,
                 level_rows.append((c.consumer_id, regime, policy, year, level))
     write_subscription_levels_csv(level_rows, record("subscription_levels.csv"))
 
-    annual_rows = []
-    revenue_input = []
-    for c in consumers:
-        for (regime, policy, year), bd in sorted(c.breakdowns.items()):
-            annual_rows.append((c.consumer_id, year, regime, policy, bd))
-            revenue_input.append((year, regime, policy, c.consumer_id, bd))
+    annual_rows = [(c.consumer_id, year, regime, policy, bd) for c in consumers
+                   for (regime, policy, year), bd in sorted(c.breakdowns.items())]
     write_annual_costs_csv(annual_rows, record("annual_costs.csv"))
-    write_aggregate_revenue_csv(aggregate_revenue_table(revenue_input),
+    write_aggregate_revenue_csv(aggregate_revenue_table(annual_rows),
                                 record("aggregate_revenue.csv"))
 
     consumer_ids = [c.consumer_id for c in consumers]
@@ -337,6 +333,7 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path,
         _policy_cost_total(c, "energy", BASELINE_POLICY, years) for c in consumers
     ]
 
+    mean_lf = [sum(c.load_factors[y] for y in years) / len(years) for c in consumers]
     stoch, reactive = PolicyKind.STOCHASTIC, PolicyKind.REACTIVE
     for regime in (r.value for r in result.regimes):
         if stoch in result.policies:
@@ -345,7 +342,6 @@ def write_study_outputs(result: StudyResult, out_dir: str | Path,
                 consumer_ids, stoch_totals, energy_totals,
                 record(f"relative_cost_{regime}_stoch_vs_energy.csv"),
                 f"{regime} CS stochastic-level cost", "energy tariff cost")
-            mean_lf = [sum(c.load_factors[y] for y in years) / len(years) for c in consumers]
             ratios = [a / b for a, b in zip(stoch_totals, energy_totals)]
             write_loadfactor_scatter_csv(
                 consumer_ids, mean_lf, ratios,

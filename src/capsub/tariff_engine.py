@@ -60,16 +60,6 @@ def cost_static_cs(series: HourlyLoadSeries, book: TariffBook, x_sub: float) -> 
     )
 
 
-def check_stack_against_book(stack: VclSegmentStack, book: TariffBook) -> None:
-    """A stack is usable with a book only if even its cheapest cut beats the energy fee."""
-    first = float(stack.marginal_costs[0])
-    if first <= book.energy_price:
-        raise IllPosed(
-            f"cheapest discomfort segment ({first} EUR/kWh) does not exceed the "
-            f"energy price ({book.energy_price} EUR/kWh); curtailment would be "
-            "preferable to consumption")
-
-
 def schedule_and_stack(schedules: Mapping[str, ActivationSchedule] | None,
                        stacks: Mapping[str, VclSegmentStack] | None,
                        year: str) -> tuple[ActivationSchedule, VclSegmentStack]:
@@ -93,8 +83,18 @@ def active_loads(series: HourlyLoadSeries, book: TariffBook, schedule: Activatio
         raise ScenarioMismatch(
             f"stack peak basis {stack.peak_load_kw} kW is below the "
             f"{series.year_label} series peak {series.peak_kw} kW")
-    check_stack_against_book(stack, book)
-    return series.loads[schedule.active_mask(series.hours_count)]
+    first = float(stack.marginal_costs[0])  # the cheapest cut must beat the energy fee
+    if first <= book.energy_price:
+        raise IllPosed(
+            f"cheapest discomfort segment ({first} EUR/kWh) does not exceed the "
+            f"energy price ({book.energy_price} EUR/kWh); curtailment would be "
+            "preferable to consumption")
+    hours = schedule.active_hours
+    if hours.size and hours[-1] >= series.hours_count:
+        raise ScenarioMismatch(
+            f"schedule for {schedule.year_label} has hour index {int(hours[-1])} "
+            f"outside a {series.hours_count}-hour year")
+    return series.loads[hours]
 
 
 def cost_dynamic_cs(series: HourlyLoadSeries, book: TariffBook, x_sub: float,

@@ -227,8 +227,8 @@ def test_criterion_6_revenue_neutral_calibration(population, schedules,
             consumer, dynamic_outcome.book, schedules, stacks).decision.level
         for sc in consumer.scenarios:
             year = sc.series.year_label
-            mask = schedules[year].active_mask(sc.series.hours_count)
-            cut = np.clip(sc.series.loads[mask] - level, 0.0, None).sum()
+            active = sc.series.loads[schedules[year].active_hours]
+            cut = np.clip(active - level, 0.0, None).sum()
             total_cut += sc.probability * float(cut)
     assert total_cut > 0.0
     assert dynamic_outcome.capacity_price < static_outcome.capacity_price

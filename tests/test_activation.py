@@ -118,16 +118,6 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             ActivationSchedule("2015", np.array([-1, 2]))
 
-    def test_mask_rejects_out_of_range(self):
-        schedule = ActivationSchedule("2015", np.array([5, 9000]))
-        with pytest.raises(ScenarioMismatch):
-            schedule.active_mask(8760)
-
-    def test_mask_shape(self):
-        schedule = ActivationSchedule("2015", np.array([0, 3]))
-        mask = schedule.active_mask(5)
-        assert mask.tolist() == [True, False, False, True, False]
-
 
 class TestScheduleCsv:
     def test_one_row_per_active_hour(self, tmp_path):

@@ -83,6 +83,10 @@ class TestScenarioSet:
         assert ss.year_labels == ("2013", "2014", "2015")
         assert all(sc.probability == pytest.approx(1.0 / 3.0) for sc in ss.scenarios)
 
+    def test_equiprobable_rejects_no_series(self):
+        with pytest.raises(ValueError, match="^scenario set must not be empty$"):
+            ScenarioSet.equiprobable([])
+
     def test_probabilities_must_sum_to_one(self):
         a = make_series([1.0], year_label="2013")
         b = make_series([1.0], year_label="2014")

@@ -56,7 +56,7 @@ def grid_dynamic_objective_lines(scenario_set, book, schedules, stacks):
     for sc in scenario_set.scenarios:
         series = sc.series
         stack = stacks[series.year_label]
-        active = series.loads[schedules[series.year_label].active_mask(series.hours_count)]
+        active = series.loads[schedules[series.year_label].active_hours]
         inactive_energy = series.total_kwh - float(active.sum())
         per_scenario.append((sc.probability, active, stack, inactive_energy))
         if active.size:
@@ -282,6 +282,11 @@ class TestOptimizeDynamic:
         ss, schedules, stacks = self.make_inputs([1.0, 2.0], [0])
         with pytest.raises(ScenarioMismatch):
             optimize_dynamic(ss, dynamic_book, {}, stacks)
+
+    def test_schedule_beyond_the_series_rejected(self, dynamic_book):
+        ss, schedules, stacks = self.make_inputs([1.0, 2.0, 1.5], [0, 3])
+        with pytest.raises(ScenarioMismatch, match="hour index 3 outside a 3-hour year"):
+            optimize_dynamic(ss, dynamic_book, schedules, stacks)
 
     def test_breakdown_matches_engine_reevaluation(self, dynamic_book):
         rng = np.random.default_rng(9)

@@ -1,15 +1,18 @@
-"""The benchmark's tracer wraps capsub functions by module-global name.
+"""The benchmark imports capsub names and its tracer wraps capsub functions by name.
 
-``perfbench/spans.py`` is compiled from its source rather than imported, so
-this guard writes nothing beside it and leaves no module behind.
+Every ``perfbench`` file is read as source rather than imported, so these
+guards write nothing beside the files and leave no module behind. A capsub name the
+benchmark still uses cannot be deleted without failing here.
 """
 
+import ast
 import importlib
 import sys
 import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_every_traced_name_resolves_in_capsub(monkeypatch):
@@ -19,4 +22,18 @@ def test_every_traced_name_resolves_in_capsub(monkeypatch):
     assert spans.TARGETS
     missing = [f"capsub.{module}.{name}" for module, name, _counter in spans.TARGETS
                if not callable(getattr(importlib.import_module(f"capsub.{module}"), name, None))]
+    assert missing == []
+
+
+def test_every_name_perfbench_imports_from_capsub_resolves():
+    imported = []
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "capsub":
+                imported += [(path.relative_to(PERFBENCH), node.module, alias.name)
+                             for alias in node.names]
+    assert imported
+    missing = [f"{source}: from {module} import {name}" for source, module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
     assert missing == []

@@ -44,7 +44,7 @@ class TestOlsFit:
 class TestAggregateRevenueTable:
     def test_single_consumer_row_equals_breakdown(self):
         bd = CostBreakdown(135.0, 67.5, 12.0, 3.0, 8.0)
-        rows = aggregate_revenue_table([("2015", "static", "stoch", "c0", bd)])
+        rows = aggregate_revenue_table([("c0", "2015", "static", "stoch", bd)])
         assert len(rows) == 1
         assert rows[0].monetary_eur == pytest.approx(bd.total_monetary)
         assert rows[0].discomfort_eur == pytest.approx(8.0)
@@ -56,16 +56,16 @@ class TestAggregateRevenueTable:
         for i in range(30):
             bd = CostBreakdown(*rng.uniform(1, 100, 4), discomfort=float(rng.uniform(0, 10)))
             total += bd.total_monetary
-            entries.append(("2015", "static", "stoch", f"c{i}", bd))
+            entries.append((f"c{i}", "2015", "static", "stoch", bd))
         rows = aggregate_revenue_table(entries)
         assert rows[0].monetary_eur == pytest.approx(total, rel=1e-6)
 
     def test_groups_by_year_regime_policy(self):
         bd = CostBreakdown(1.0, 1.0, 1.0)
         rows = aggregate_revenue_table([
-            ("2015", "static", "stoch", "c0", bd),
-            ("2016", "static", "stoch", "c0", bd),
-            ("2015", "energy", "baseline", "c0", bd),
+            ("c0", "2015", "static", "stoch", bd),
+            ("c0", "2016", "static", "stoch", bd),
+            ("c0", "2015", "energy", "baseline", bd),
         ])
         keys = [(r.year_label, r.regime, r.policy) for r in rows]
         assert keys == sorted(keys)

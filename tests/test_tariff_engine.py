@@ -7,7 +7,7 @@ from capsub import (ActivationSchedule, DomainError, IllPosed, LoadScenario, Sce
                     ScenarioSet, TariffBook, VclSegmentStack, build_segment_stack,
                     VclCurveParams, cost_dynamic_cs, cost_energy_tariff, cost_static_cs,
                     expected_cost)
-from capsub.tariff_engine import annual_cost
+from capsub.tariff_engine import active_loads, annual_cost
 
 from conftest import make_series, singleton_set
 
@@ -118,6 +118,12 @@ class TestDynamicCs:
         with pytest.raises(ScenarioMismatch):
             cost_dynamic_cs(series, dynamic_book, 1.0, self.make_schedule([1]), stack)
 
+    def test_schedule_beyond_the_series_rejected(self, dynamic_book):
+        series = make_series([1.0, 2.0, 1.5])
+        stack = build_segment_stack(PARAMS, series.peak_kw, 2)
+        with pytest.raises(ScenarioMismatch, match="hour index 3 outside a 3-hour year"):
+            cost_dynamic_cs(series, dynamic_book, 1.0, self.make_schedule([1, 3]), stack)
+
     def test_cheap_first_segment_rejected(self):
         expensive_energy = TariffBook.dynamic_cs(135.0, 54.0, 3.0, 5.0)
         series = make_series([1.0, 2.0])
@@ -137,6 +143,21 @@ class TestDynamicCs:
         static = cost_static_cs(series, static_book, level)
         # same capacity price for a clean revenue comparison
         assert dynamic.total_monetary - dynamic.capacity <= static.total_monetary - static.capacity
+
+
+class TestActiveLoads:
+    def test_loads_of_the_active_hours_in_order(self, dynamic_book):
+        series = make_series([1.0, 3.0, 2.0, 4.0, 0.5])
+        stack = build_segment_stack(PARAMS, series.peak_kw, 4)
+        schedule = ActivationSchedule("2015", np.array([0, 3, 4]))
+        assert active_loads(series, dynamic_book, schedule, stack).tolist() == [1.0, 4.0, 0.5]
+
+    def test_hour_beyond_the_series_rejected(self, dynamic_book):
+        series = make_series(np.ones(8760))
+        stack = build_segment_stack(PARAMS, series.peak_kw, 4)
+        schedule = ActivationSchedule("2015", np.array([5, 9000]))
+        with pytest.raises(ScenarioMismatch, match="hour index 9000 outside a 8760-hour year"):
+            active_loads(series, dynamic_book, schedule, stack)
 
 
 class TestExpectedCost:
