@@ -23,8 +23,7 @@ from .errors import (CalibrationFailed, CapsubError, ConfigError, DegenerateProf
                      ScenarioMismatch)
 from .ingest import (SyntheticPopulationSpec, generate_population, parse_load_csv,
                      scenario_sets_from_series, write_load_csv)
-from .optimizer import (OptimizationResult, dynamic_objective_lines,
-                        expected_exceedance_hours, optimize_deterministic,
+from .optimizer import (OptimizationResult, dynamic_objective_lines, optimize_deterministic,
                         optimize_dynamic, optimize_static, static_objective_lines)
 from .reporting import RevenueRow, aggregate_revenue_table, ols_fit, relative_cost_curve
 from .tariff_engine import (cost_dynamic_cs, cost_energy_tariff, cost_static_cs,
@@ -48,7 +47,7 @@ __all__ = [
     "build_segment_stack", "calibrate_capacity_price", "cost_dynamic_cs",
     "cost_energy_tariff", "cost_static_cs", "default_study_spec", "default_tariff_bundle",
     "derive_activations", "derive_schedules", "discomfort_cost", "dynamic_objective_lines",
-    "energy_reference_revenue", "expected_cost", "expected_exceedance_hours",
+    "energy_reference_revenue", "expected_cost",
     "full_load_hours", "generate_population", "load_factor", "load_tariff_config",
     "ols_fit", "optimize_deterministic", "optimize_dynamic", "optimize_static",
     "parse_load_csv", "relative_cost_curve",

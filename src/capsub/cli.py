@@ -84,6 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # once: in-process callers such as the benchmark call main often
+
+
 def _cmd_generate(args) -> int:
     spec = SyntheticPopulationSpec.from_json(args.spec) if args.spec else default_study_spec()
     if args.seed is not None:
@@ -166,8 +169,7 @@ def _cmd_study(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "generate":
             return _cmd_generate(args)

@@ -9,13 +9,12 @@ marginal grid losses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .data_model import TariffBook, TariffRegime
 from .errors import ConfigError
-from .ingest import SyntheticPopulationSpec, checked_number
+from .ingest import SyntheticPopulationSpec, checked_number, read_json
 from .vcl import DEFAULT_STEEPNESS
 
 DEFAULT_TARIFF_CONFIG: dict = {
@@ -117,11 +116,7 @@ def bundle_to_dict(bundle: TariffBundle) -> dict:
 
 
 def load_tariff_config(path: str | Path) -> TariffBundle:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"tariff config {path}: invalid JSON ({exc})") from exc
-    return bundle_from_dict(raw)
+    return bundle_from_dict(read_json(path, "tariff config"))
 
 
 def default_tariff_bundle() -> TariffBundle:

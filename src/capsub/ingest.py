@@ -86,6 +86,14 @@ def checked_number(value, field: str, integer: bool = False) -> float | int:
         f"{field} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
 
 
+def read_json(path: str | Path, what: str):
+    """The JSON value in the UTF-8 file at ``path``; else ConfigError naming ``what``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad bytes or JSON, or nesting too deep
+        raise ConfigError(f"{what} {path}: invalid JSON ({exc})") from exc
+
+
 # ---------------------------------------------------------------------------
 # Synthetic population generation
 # ---------------------------------------------------------------------------
@@ -147,10 +155,7 @@ class SyntheticPopulationSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticPopulationSpec":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"population spec {path}: invalid JSON ({exc})") from exc
+        raw = read_json(path, "population spec")
         if not isinstance(raw, dict):
             raise ConfigError(f"population spec {path}: expected a JSON object")
         known = {f for f in cls.__dataclass_fields__}
@@ -326,7 +331,7 @@ def _read_twin(twin: Path, sha256: str) -> list[HourlyLoadSeries] | None:
         # HourlyLoadSeries rejects non-finite and negative loads with ValueError
         return [HourlyLoadSeries(consumer_id, str(year), loads[start:end])
                 for (consumer_id, year), start, end in zip(keys, bounds, bounds[1:])]
-    except (OSError, ValueError, TypeError):
+    except (OSError, ValueError, TypeError, RecursionError):
         return None
 
 
@@ -380,10 +385,10 @@ def _parse_blocks(path: str | Path) -> list[HourlyLoadSeries] | None:
                 if loads is None:
                     return None
                 blocks[(consumer_id, year)] = loads
-    except UnicodeDecodeError:
+        return [HourlyLoadSeries(consumer_id, str(year), loads)
+                for (consumer_id, year), loads in sorted(blocks.items())]
+    except ValueError:  # undecodable bytes, or a load unparsable, non-finite or negative
         return None
-    return [HourlyLoadSeries(consumer_id, str(year), loads)
-            for (consumer_id, year), loads in sorted(blocks.items())]
 
 
 def _read_block(fh: Iterable[str], first: str, consumer_id: str,
@@ -407,17 +412,12 @@ def _read_block(fh: Iterable[str], first: str, consumer_id: str,
                 or fields[0::4] != [consumer_id] * count or fields[1::4] != expected
                 or max(map(len, fields[2::4])) > limit):
             return None
-        try:
-            loads[start:start + count] = np.array(fields[2::4], dtype=np.float64)
-        except ValueError:
-            return None
-    if np.isfinite(loads).all() and (loads >= 0.0).all():
-        return loads
-    return None
+        loads[start:start + count] = np.array(fields[2::4], dtype=np.float64)
+    return loads
 
 
-def _csv_rows(reader) -> Iterator[list[str]]:
-    """The rows of a csv.reader, with a row it rejects raised as a MalformedRow.
+def _csv_rows(reader, path: str | Path) -> Iterator[list[str]]:
+    """The rows of a csv.reader over ``path``, with a row it rejects raised as a MalformedRow.
 
     csv.reader rejects, for one, a field longer than ``csv.field_size_limit()``.
     """
@@ -425,13 +425,27 @@ def _csv_rows(reader) -> Iterator[list[str]]:
         yield from reader
     except csv.Error as exc:
         raise MalformedRow(f"line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # the text layer decodes ahead of reader.line_num
+        raise MalformedRow(f"line {_undecodable_line(path)}: load CSV {path} is not UTF-8 "
+                           f"({exc.reason})") from exc
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """The first line of ``path`` that is not UTF-8; a newline ends no multi-byte character."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return 0  # the file changed after it failed to decode
 
 
 def _parse_rows(path: str | Path) -> list[HourlyLoadSeries]:
     """Row-by-row parser: accepts any valid file and raises every ingest error."""
     groups: dict[tuple[str, int], dict[int, float]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = _csv_rows(csv.reader(fh))
+        rows = _csv_rows(csv.reader(fh), path)
         header = next(rows, None)
         if header != CSV_HEADER:
             raise MalformedRow(
@@ -489,7 +503,7 @@ def write_load_csv(series_list: Sequence[HourlyLoadSeries], path: str | Path) ->
     Rows are formatted _CHUNK_HOURS at a time into one string. An id that
     needs quoting is quoted once per series, by ``csv_field``.
     """
-    ordered = sorted(series_list, key=lambda s: (s.consumer_id, s.year_label))
+    ordered = sorted(series_list, key=lambda s: (s.consumer_id, _parse_year(s.year_label)))
     stamps: dict[tuple[int, int], list[str]] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_HEADER_LINE)
@@ -506,11 +520,11 @@ def write_load_csv(series_list: Sequence[HourlyLoadSeries], path: str | Path) ->
 
 
 def scenario_sets_from_series(series_list: Iterable[HourlyLoadSeries]) -> list[ScenarioSet]:
-    """Group per-year series by consumer into equiprobable scenario sets."""
+    """Group per-year series by consumer into equiprobable scenario sets, years in order."""
     by_consumer: dict[str, list[HourlyLoadSeries]] = {}
     for series in series_list:
         by_consumer.setdefault(series.consumer_id, []).append(series)
     return [
-        ScenarioSet.equiprobable(sorted(series, key=lambda s: s.year_label))
+        ScenarioSet.equiprobable(sorted(series, key=lambda s: _parse_year(s.year_label)))
         for _, series in sorted(by_consumer.items())
     ]

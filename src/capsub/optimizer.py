@@ -57,14 +57,6 @@ class OptimizationResult:
     expected_breakdown: CostBreakdown
 
 
-def expected_exceedance_hours(scenario_set: ScenarioSet, level: float) -> float:
-    """Expected number of hours per year with load strictly above ``level``."""
-    return float(sum(
-        sc.probability * int(np.count_nonzero(sc.series.loads > level))
-        for sc in scenario_set.scenarios
-    ))
-
-
 class PreparedYear:
     """One scenario year's loads for the tail-energy kernel, sorted once.
 
@@ -248,13 +240,11 @@ def objective_lines(scenario_set: ScenarioSet, book: TariffBook,
                     ) -> tuple[np.ndarray, PreparedObjective]:
     """The levels and prepared objective of the book's regime.
 
-    Dynamic books need schedules and stacks.
+    Dynamic books need schedules and stacks; any other book raises DomainError.
     """
     if book.regime is TariffRegime.STATIC_CS:
         return static_objective_lines(scenario_set, book)
-    if book.regime is TariffRegime.DYNAMIC_CS:
-        return dynamic_objective_lines(scenario_set, book, schedules, stacks)
-    raise DomainError("the energy-only tariff has no subscription level to optimize")
+    return dynamic_objective_lines(scenario_set, book, schedules, stacks)
 
 
 def _argmin_index(objective: np.ndarray) -> int:

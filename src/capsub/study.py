@@ -27,7 +27,8 @@ from .config import TariffBundle, bundle_from_dict, bundle_to_dict
 from .data_model import (CostBreakdown, PolicyKind, ScenarioSet, TariffRegime, full_load_hours,
                          load_factor)
 from .errors import ConfigError, DomainError
-from .ingest import checked_number, file_sha256, parse_load_csv, scenario_sets_from_series
+from .ingest import (checked_number, file_sha256, parse_load_csv, read_json,
+                     scenario_sets_from_series)
 from .optimizer import optimize_expected, prepare_years
 from .reporting import (aggregate_revenue_table, write_aggregate_revenue_csv,
                         write_annual_costs_csv, write_fullloadhours_csv,
@@ -271,10 +272,7 @@ def run_manifest(manifest: dict, jobs: int = 1, *, source: str,
 
 def run_study_from_manifest(manifest_path: str | Path, jobs: int = 1) -> tuple[StudyResult, dict]:
     """Re-run a study exactly as recorded; verifies the input file hash."""
-    try:
-        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"manifest {manifest_path}: invalid JSON ({exc})") from exc
+    manifest = read_json(manifest_path, "manifest")
     result = run_manifest(manifest, jobs, source=f"manifest {manifest_path}", verify_input=True)
     return result, manifest
 

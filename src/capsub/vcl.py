@@ -44,19 +44,18 @@ class VclCurveParams:
 def vcl_marginal(params: VclCurveParams, cut_fraction: float) -> float:
     """Marginal discomfort [EUR/kWh] at a cumulative cut of ``cut_fraction`` of peak.
 
-    Evaluates voll * (1 - exp(-b*f)) / (1 - exp(-b)); exactly 0 at f=0 and
-    exactly voll at f=1, strictly increasing in between.
+    voll * (1 - exp(-b*f)) / (1 - exp(-b)), as the segment stacks sample it:
+    exactly 0 at f=0, voll at f=1 within rounding, strictly increasing between.
     """
     f = float(cut_fraction)
     if not (0.0 <= f <= 1.0):
         raise DomainError(f"cut fraction {f} outside [0, 1]")
-    b = params.steepness_b
-    # expm1 keeps the ratio exact at the f=1 boundary and accurate for small b*f
-    return params.voll * math.expm1(-b * f) / math.expm1(-b)
+    return float(_marginal_array(params, np.float64(f)))
 
 
 def _marginal_array(params: VclCurveParams, fractions: np.ndarray) -> np.ndarray:
     b = params.steepness_b
+    # expm1 keeps the ratio exact at the f=1 boundary and accurate for small b*f
     return params.voll * np.expm1(-b * fractions) / math.expm1(-b)
 
 

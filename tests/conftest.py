@@ -59,6 +59,12 @@ def small_pools(monkeypatch, pool_sizes):
     return pool_sizes
 
 
+def expected_exceedance_hours(scenario_set, level):
+    """Oracle: expected number of hours per year with load strictly above ``level``."""
+    return float(sum(sc.probability * int(np.count_nonzero(sc.series.loads > level))
+                     for sc in scenario_set.scenarios))
+
+
 def objective_table(scenario_set, book, schedules=None, stacks=None):
     """The full table of the book's objective: every candidate level and its constant."""
     return prepare_objective(scenario_set, book, schedules, stacks).lines()

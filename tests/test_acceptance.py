@@ -15,12 +15,12 @@ from capsub import (ActivationSchedule, DEFAULT_THRESHOLD_KW, ScenarioSet, Tarif
                     calibrate_capacity_price, cost_dynamic_cs, cost_energy_tariff,
                     cost_static_cs, default_study_spec, default_tariff_bundle,
                     derive_activations, derive_schedules, discomfort_cost,
-                    energy_reference_revenue, expected_cost, expected_exceedance_hours,
+                    energy_reference_revenue, expected_cost,
                     generate_population, optimize_deterministic, optimize_dynamic,
                     optimize_static, stacks_for_scenarios, vcl_marginal)
 from capsub.cli import main as cli_main
 
-from conftest import make_series, objective_table, singleton_set
+from conftest import expected_exceedance_hours, make_series, objective_table, singleton_set
 
 BUNDLE = default_tariff_bundle()
 VCL_PARAMS = VclCurveParams(5.0, 8.0)

@@ -282,6 +282,10 @@ class TestErrorHandling:
         with pytest.raises(CalibrationFailed, match="zero capacity price"):
             calibrate_capacity_price(population, static_book, 1.0, 1e-4)
 
+    def test_rejects_empty_population(self, static_book):
+        with pytest.raises(DomainError, match="population must not be empty"):
+            calibrate_capacity_price([], static_book, 100.0, 1e-6)
+
     def test_dynamic_needs_schedules(self, dynamic_book):
         population = mini_population(consumers=2)
         with pytest.raises(DomainError):

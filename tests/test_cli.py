@@ -11,6 +11,7 @@ import pytest
 import capsub
 from capsub import (DEFAULT_TARIFF_CONFIG, SyntheticPopulationSpec, generate_population,
                     parse_load_csv)
+from capsub import cli
 from capsub.cli import main
 
 
@@ -204,6 +205,49 @@ def test_bad_vcl_steepness_is_input_error(generated_loads, tmp_path, capsys, com
     assert "dynamic_cs.vcl_steepness" in err
 
 
+UNREADABLE_JSON = {
+    "bad_json": b'{"consumer_count": ',
+    "not_utf8": b'{"consumer_count": "\xff"}',
+    "nested_too_deep": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+@pytest.mark.parametrize("command, what", [
+    (["generate", "--out", "{out}", "--spec"], "population spec"),
+    (["calibrate", "--loads", "{loads}", "--regime", "static", "--out", "{out}", "--tariff"],
+     "tariff config"),
+    (["study", "--out", "{out}", "--from-manifest"], "manifest"),
+], ids=["spec", "tariff", "manifest"])
+def test_unreadable_json_is_input_error(generated_loads, tmp_path, capsys, command, what,
+                                        content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    argv = [arg.format(out=tmp_path / "out", loads=generated_loads) for arg in command]
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 1, err
+    assert err.startswith(f"error: {what} {path}: invalid JSON (")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", [0, 2], ids=["consumer_id", "load"])
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--regime", "static", "--out"],
+    ["study", "--policy", "stoch", "--out"],
+])
+def test_undecodable_load_csv_is_input_error(generated_loads, tmp_path, capsys, command, field):
+    lines = generated_loads.read_bytes().split(b"\n")
+    fields = lines[4].split(b",")
+    fields[field] = fields[field][:1] + b"\xff" + fields[field][1:]
+    lines[4] = b",".join(fields)
+    loads = tmp_path / "loads.csv"
+    loads.write_bytes(b"\n".join(lines))
+    code, _, err = run_cli(capsys, *command, str(tmp_path / "out"), "--loads", str(loads))
+    assert code == 1, err
+    assert err.startswith("error: line 5: load CSV ")
+    assert f"{loads.name} is not UTF-8" in err
+
+
 def drop_last_consumer_year(loads_csv, year, out):
     """A copy of ``loads_csv`` in which the last consumer has no rows for ``year``."""
     lines = loads_csv.read_text().splitlines(keepends=True)
@@ -298,6 +342,20 @@ class TestStudy:
         assert code == 1
         assert f"jobs: must be >= 1, got {jobs}" in err
         assert not (tmp_path / "rerun").exists()
+
+    def test_options_do_not_carry_into_the_next_call(self, generated_loads, tmp_path, capsys,
+                                                      monkeypatch):
+        def rebuild():
+            raise AssertionError("main rebuilt the argument parser")
+        monkeypatch.setattr(cli, "_build_parser", rebuild)
+        code, _, err = run_cli(capsys, "study", "--loads", str(generated_loads),
+                               "--policy", "det", "--regime", "static", "--threshold-kw", "18.0",
+                               "--out", str(tmp_path / "first"))
+        assert code == 0, err
+        code, _, err = run_cli(capsys, "study", "--loads", str(generated_loads),
+                               "--out", str(tmp_path / "second"))
+        assert code == 1
+        assert "at least one --policy is required" in err
 
     def test_bad_regime_flag_is_input_error(self, generated_loads, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "study", "--loads", str(generated_loads),

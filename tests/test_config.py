@@ -62,3 +62,29 @@ class TestTariffConfig:
         for load in (lambda: bundle_from_dict(raw), lambda: load_tariff_config(path)):
             with pytest.raises(ConfigError, match="^tariff config: expected a JSON object$"):
                 load()
+
+    @pytest.mark.parametrize("section", ["energy_only", "static_cs", "dynamic_cs"])
+    def test_missing_section(self, section):
+        raw = copy.deepcopy(DEFAULT_TARIFF_CONFIG)
+        del raw[section]
+        with pytest.raises(ConfigError, match=f"^tariff config: section '{section}' is missing$"):
+            bundle_from_dict(raw)
+
+    @pytest.mark.parametrize("section, key", [
+        ("energy_only", "energy_price_eurct_per_kwh"),
+        ("static_cs", "excess_price_eurct_per_kwh"),
+        ("dynamic_cs", "voll_eur_per_kwh"),
+    ])
+    def test_missing_key(self, section, key):
+        raw = copy.deepcopy(DEFAULT_TARIFF_CONFIG)
+        del raw[section][key]
+        with pytest.raises(ConfigError, match=f"^tariff config: {section}.{key} is missing$"):
+            bundle_from_dict(raw)
+
+    @pytest.mark.parametrize("steepness", [0.0, -1.0, -0.0])
+    def test_steepness_must_be_positive(self, steepness):
+        raw = copy.deepcopy(DEFAULT_TARIFF_CONFIG)
+        raw["dynamic_cs"]["vcl_steepness"] = steepness
+        with pytest.raises(ConfigError,
+                           match="^tariff config: dynamic_cs.vcl_steepness must be > 0"):
+            bundle_from_dict(raw)

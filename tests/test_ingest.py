@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -228,6 +229,27 @@ class TestCsvValidation:
         with pytest.raises(MalformedRow, match="non-finite"):
             parse_load_csv(path)
 
+    def test_empty_consumer_id(self, tmp_path):
+        path = tmp_path / "loads.csv"
+        write_rows(path, full_year_rows() + [",2016-01-01T00:00,1.0"])
+        with pytest.raises(MalformedRow, match="line 8762: empty consumer_id"):
+            parse_load_csv(path)
+
+    @pytest.mark.parametrize("field", [0, 2], ids=["consumer_id", "load"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, field):
+        # the text layer decodes thousands of bytes ahead of the csv reader
+        path = tmp_path / "loads.csv"
+        write_load_csv(population_series(2, [2015], seed=3), path)
+        lines = path.read_bytes().split(b"\n")
+        fields = lines[4].split(b",")
+        fields[field] = fields[field][:1] + b"\xff" + fields[field][1:]
+        lines[4] = b",".join(fields)
+        path.write_bytes(b"\n".join(lines))
+        assert ingest._parse_blocks(path) is None
+        with pytest.raises(MalformedRow, match=f"^line 5: load CSV {path} is not UTF-8 "):
+            parse_load_csv(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["loads.csv"]
+
 
 class TestScenarioGrouping:
     def test_groups_by_consumer_sorted(self):
@@ -237,6 +259,19 @@ class TestScenarioGrouping:
         assert [g.consumer_id for g in grouped] == sorted(g.consumer_id for g in grouped)
         for g in grouped:
             assert g.year_labels == ("2015", "2016")
+
+    def test_years_in_calendar_order(self, tmp_path):
+        # as strings "1000" sorts before "999"
+        series = population_series(2, [1000, 999], seed=5)
+        path = tmp_path / "loads.csv"
+        write_load_csv(series, path)
+        blocks = [(cid, ts[:4]) for cid, ts, _ in
+                  (line.split(",") for line in path.read_text().splitlines()[1:])]
+        assert [key for key, _ in itertools.groupby(blocks)] == [
+            ("c0", "0999"), ("c0", "1000"), ("c1", "0999"), ("c1", "1000")]
+        for grouped in (scenario_sets_from_series(series),
+                        scenario_sets_from_series(parse_load_csv(path))):
+            assert [g.year_labels for g in grouped] == [("999", "1000")] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +575,17 @@ class TestTwin:
             assert twin.read_bytes() != good
         assert_same_outcome(parse_outcome(parse_load_csv, loads_csv), want)
         assert twin.read_bytes() == good
+        forbid_text_parse(monkeypatch)
+        assert_same_outcome(parse_outcome(parse_load_csv, loads_csv), want)
+
+    def test_twin_index_nested_too_deep_is_ignored(self, loads_csv, monkeypatch):
+        want = parse_outcome(ingest._parse_rows, loads_csv)
+        digest = ingest.file_sha256(loads_csv)
+        index = b"[" * 200_000 + b"]" * 200_000
+        twin = loads_csv.with_name("loads.csv.twin")
+        twin.write_bytes(ingest._TWIN_HEAD.pack(ingest._TWIN_MAGIC, ingest._TWIN_VERSION,
+                                                digest.encode(), len(index), 0) + index)
+        assert_same_outcome(parse_outcome(parse_load_csv, loads_csv), want)
         forbid_text_parse(monkeypatch)
         assert_same_outcome(parse_outcome(parse_load_csv, loads_csv), want)
 

@@ -10,13 +10,14 @@ from capsub import (ActivationSchedule, DomainError, HourlyLoadSeries, IllPosed,
                     PolicyKind, ScenarioMismatch, ScenarioSet, SyntheticPopulationSpec,
                     TariffBook, VclCurveParams, build_segment_stack,
                     default_tariff_bundle, derive_activations, expected_cost,
-                    expected_exceedance_hours, generate_population, optimize_deterministic,
+                    generate_population, optimize_deterministic,
                     optimize_dynamic, optimize_static, run_study, stacks_for_scenarios,
                     static_objective_lines, study)
-from capsub.optimizer import TIE_RTOL, PreparedObjective, _argmin_index, prepare_objective
+from capsub.optimizer import (TIE_RTOL, PreparedObjective, _argmin_index, objective_lines,
+                              prepare_objective)
 from capsub.tariff_engine import PEAK_MATCH_RTOL
 
-from conftest import make_series, objective_table, singleton_set
+from conftest import expected_exceedance_hours, make_series, objective_table, singleton_set
 
 PARAMS = VclCurveParams(5.0, 8.0)
 
@@ -393,6 +394,10 @@ class TestPolicies:
     def test_energy_only_has_nothing_to_optimize(self, energy_book):
         with pytest.raises(DomainError):
             optimize_deterministic(make_series([1.0, 2.0]), energy_book)
+
+    def test_energy_only_has_no_objective_lines(self, energy_book):
+        with pytest.raises(DomainError, match="expected 'dynamic'"):
+            objective_lines(singleton_set(make_series([1.0, 2.0])), energy_book)
 
 
 # loads on a coarse grid repeat and line up with whole segment widths, so

@@ -6,14 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from capsub import (ConfigError, PolicyKind, ScenarioMismatch, ScenarioSet,
-                    SyntheticPopulationSpec, TariffRegime, expected_exceedance_hours,
+from capsub import (ConfigError, DomainError, PolicyKind, ScenarioMismatch, ScenarioSet,
+                    SyntheticPopulationSpec, TariffRegime,
                     default_tariff_bundle, generate_population, run_study,
                     run_study_from_manifest, build_manifest, scenario_sets_from_series,
                     write_load_csv, write_study_outputs)
 from capsub import VclCurveParams, optimizer, stacks_for_scenarios, study
 from capsub.study import _policy_cost_total
 from capsub.tariff_engine import annual_cost
+
+from conftest import expected_exceedance_hours
 
 
 def study_population(consumers=5, seed=17, years=("2015", "2016", "2017")):
@@ -157,6 +159,32 @@ class TestRunStudy:
         with pytest.raises(ConfigError, match=f"jobs: must be >= 1, got {jobs}"):
             run_study(population, bundle, policies=("stoch",), threshold_kw=threshold,
                       jobs=jobs)
+
+    @pytest.mark.parametrize("segments", [0, -2])
+    def test_rejects_fewer_than_one_segment(self, small_study, segments):
+        population, bundle, threshold, _ = small_study
+        with pytest.raises(ConfigError, match=f"vcl_segments: must be >= 1, got {segments}"):
+            run_study(population, bundle, policies=("stoch",), threshold_kw=threshold,
+                      vcl_segments=segments)
+
+    def test_rejects_empty_population(self):
+        with pytest.raises(DomainError, match="population must not be empty"):
+            run_study([], default_tariff_bundle(), policies=("stoch",), threshold_kw=1.0)
+
+    def test_reactive_follows_calendar_order(self, tmp_path):
+        # "1000" sorts before "999" as a string; the CSV round trip must not reorder them
+        population = study_population(consumers=2, years=("999", "1000"))
+        loads_csv = tmp_path / "loads.csv"
+        write_load_csv([sc.series for c in population for sc in c.scenarios], loads_csv)
+        manifest = build_manifest(loads_csv, default_tariff_bundle(),
+                                  policies=("det", "reactive"), regimes=("static",),
+                                  threshold_kw=pick_threshold(population), vcl_segments=10)
+        result = study.run_manifest(manifest, source="study")
+        assert result.years == ("999", "1000")
+        for consumer in result.consumers:
+            det = dict(consumer.levels[("static", "det")])
+            assert det["999"] != det["1000"]
+            assert consumer.levels[("static", "reactive")] == (("1000", det["999"]),)
 
 
 class TestWorkerCount:
@@ -374,6 +402,18 @@ class TestOutputsAndManifest:
         manifest_path.write_text(json.dumps(manifest))
         loads_csv.write_text(loads_csv.read_text() + "\n")
         with pytest.raises(ConfigError, match="sha256"):
+            run_study_from_manifest(manifest_path)
+
+    def test_manifest_input_gone_is_config_error(self, small_study, tmp_path):
+        population, bundle, threshold, _ = small_study
+        loads_csv = tmp_path / "loads.csv"
+        write_load_csv([sc.series for sc in population[0].scenarios], loads_csv)
+        manifest = build_manifest(loads_csv, bundle, policies=("stoch",), regimes=("static",),
+                                  threshold_kw=threshold, vcl_segments=10)
+        manifest_path = tmp_path / "study.json"
+        manifest_path.write_text(json.dumps(manifest))
+        loads_csv.unlink()
+        with pytest.raises(ConfigError, match=f"manifest input {loads_csv} does not exist"):
             run_study_from_manifest(manifest_path)
 
     def test_manifest_records_names(self, small_study, tmp_path):

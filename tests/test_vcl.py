@@ -76,6 +76,13 @@ class TestSegmentStack:
         assert stack.marginal_costs[-1] <= PARAMS.voll
         assert stack.widths_kw.sum() == pytest.approx(3.7, rel=1e-9)
 
+    @pytest.mark.parametrize("steepness", [0.7, 2.5, 8.0])
+    def test_costs_are_the_curve_at_midpoints(self, steepness):
+        params = VclCurveParams(5.0, steepness)
+        stack = build_segment_stack(params, 3.7, 40)
+        midpoints = (np.arange(40) + 0.5) / 40
+        assert stack.marginal_costs.tolist() == [vcl_marginal(params, f) for f in midpoints]
+
     def test_costs_depend_only_on_fraction_not_peak(self):
         small = build_segment_stack(PARAMS, 5.0, 5)
         large = build_segment_stack(PARAMS, 10.0, 5)
